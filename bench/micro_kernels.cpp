@@ -3,6 +3,7 @@
 // conv lowering.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "core/vawo.h"
@@ -219,18 +220,53 @@ void BM_ParallelForDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(4);
 
-void BM_Conv2DForward(benchmark::State& state) {
-  Rng rng(7);
-  nn::Conv2D conv(8, 16, 3, 1, 1, rng);
-  nn::Tensor x({4, 8, 16, 16});
+// Conv2D on the scaled ResNet's stage-1 shape (8 -> 8 channels, 3x3,
+// 32x32, batch 32). Arg: pool threads. Items are flops at 2 per MAC —
+// BM_Gemm's convention — so items/s reads as FLOP/s against BM_Gemm.
+constexpr std::int64_t kConvBatch = 32, kConvCh = 8, kConvHw = 32;
+constexpr std::int64_t kConvMacs =
+    kConvBatch * kConvCh * kConvHw * kConvHw * kConvCh * 3 * 3;
+
+nn::Tensor conv_input(Rng& rng) {
+  nn::Tensor x({kConvBatch, kConvCh, kConvHw, kConvHw});
   for (std::int64_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<float>(rng.uniform(0, 1));
+    x[i] = std::max(0.0f, static_cast<float>(rng.uniform(-1, 1)));  // ReLU
   }
+  return x;
+}
+
+void BM_Conv2DForward(benchmark::State& state) {
+  nn::set_thread_count(static_cast<int>(state.range(0)));
+  Rng rng(7);
+  nn::Conv2D conv(kConvCh, kConvCh, 3, 1, 1, rng, /*bias=*/false);
+  const nn::Tensor x = conv_input(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward(x, false));
   }
+  state.SetItemsProcessed(state.iterations() * 2 * kConvMacs);
+  nn::set_thread_count(0);
 }
-BENCHMARK(BM_Conv2DForward);
+BENCHMARK(BM_Conv2DForward)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// dX and dW: twice the forward MACs.
+void BM_Conv2DBackward(benchmark::State& state) {
+  nn::set_thread_count(static_cast<int>(state.range(0)));
+  Rng rng(9);
+  nn::Conv2D conv(kConvCh, kConvCh, 3, 1, 1, rng, /*bias=*/false);
+  const nn::Tensor y = conv.forward(conv_input(rng), false);
+  nn::Tensor g(y.shape());  // ReLU-masked upstream gradient
+  for (std::int64_t i = 0; i < g.size(); ++i) {
+    g[i] = rng.uniform(0, 1) < 0.5 ? 0.0f
+                                   : static_cast<float>(rng.uniform(-1, 1));
+  }
+  for (auto _ : state) {
+    conv.weight_param().zero_grad();
+    benchmark::DoNotOptimize(conv.backward(g));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * 2 * kConvMacs);
+  nn::set_thread_count(0);
+}
+BENCHMARK(BM_Conv2DBackward)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -38,6 +38,10 @@ EffectiveWeightBackend::EffectiveWeightBackend(const DeploymentPlan& plan,
     rdo::quant::apply_quantized(*layers_[li].op, pl.lq);
   }
   for (auto* aq : act_quants_) aq->disable();
+  // The twin's gradients exist only while run_pwt needs them, and it
+  // starts without the source network's activation caches.
+  for (rdo::nn::Param* p : net_->params()) p->grad = rdo::nn::Tensor();
+  net_->release_caches();
   if (plan_.opt.quantize_activations && !act_quants_.empty()) {
     RDO_CHECK(act_quants_.size() == plan_.act_calib.size(),
               "EffectiveWeightBackend: network does not match the plan "
@@ -181,6 +185,7 @@ void EffectiveWeightBackend::tune(const rdo::nn::DataView& train) {
     for (float& b : ls.offsets) b = std::clamp(std::round(b), lo, hi);
   }
   apply_effective_weights();
+  net_->release_caches();
 }
 
 float EffectiveWeightBackend::evaluate(const rdo::nn::DataView& test,
@@ -195,6 +200,7 @@ float EffectiveWeightBackend::evaluate(const rdo::nn::DataView& test,
   stats_.eval_seconds.push_back(watch.seconds());
   span.arg("accuracy", static_cast<double>(acc));
   stats_.eval_accuracy.push_back(acc);
+  net_->release_caches();
   return acc;
 }
 

@@ -48,7 +48,10 @@ class ExecutionBackend {
 /// The fast path: CRWs are composed numerically by the WeightProgrammer
 /// and folded, together with offsets and complement flags, into effective
 /// float weights of a private network clone (the "twin"). Validated
-/// against the device-level backend by the parity test suite.
+/// against the device-level backend by the parity test suite. Between
+/// calls the twin holds no activation caches and no gradients: tune()
+/// and evaluate() release them before returning, so pooled idle backends
+/// cost only their weights and offsets.
 class EffectiveWeightBackend : public ExecutionBackend {
  public:
   struct LayerState {

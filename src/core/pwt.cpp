@@ -39,6 +39,10 @@ void EffectiveWeightBackend::run_pwt(const rdo::nn::DataView& train) {
   std::vector<std::int64_t> order(static_cast<std::size_t>(train.size()));
   std::iota(order.begin(), order.end(), 0);
 
+  // Gradients live only for the duration of tuning (see the constructor).
+  for (rdo::nn::Param* p : net_->params()) {
+    p->grad = rdo::nn::Tensor(p->value.shape());
+  }
   float lr = popt.lr;
   for (int epoch = 0; epoch < popt.epochs; ++epoch) {
     rdo::obs::TraceSpan epoch_span("pwt:epoch", "deploy");
@@ -118,7 +122,7 @@ void EffectiveWeightBackend::run_pwt(const rdo::nn::DataView& train) {
         epoch_batches > 0 ? epoch_loss / static_cast<double>(epoch_batches)
                           : 0.0));
   }
-  for (rdo::nn::Param* p : net_->params()) p->zero_grad();
+  for (rdo::nn::Param* p : net_->params()) p->grad = rdo::nn::Tensor();
 }
 
 }  // namespace rdo::core

@@ -1,5 +1,7 @@
 #include "nn/activations.h"
 
+#include "core/check.h"
+
 namespace rdo::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
@@ -16,6 +18,8 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  RDO_CHECK(mask_.size() == grad_out.size(),
+            "ReLU::backward: needs a matching forward()");
   Tensor g = grad_out;
   for (std::int64_t i = 0; i < g.size(); ++i) g[i] *= mask_[i];
   return g;

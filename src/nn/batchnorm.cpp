@@ -71,6 +71,10 @@ Tensor BatchNorm2D::forward(const Tensor& x, bool train) {
 }
 
 Tensor BatchNorm2D::backward(const Tensor& grad_out) {
+  RDO_CHECK(xhat_.size() == grad_out.size() &&
+                gamma_.grad.size() == channels_,
+            "BatchNorm2D::backward: needs a matching forward() and "
+            "allocated gradients");
   const std::int64_t n = in_shape_[0], hw = in_shape_[2] * in_shape_[3];
   const std::int64_t count = n * hw;
   Tensor grad_in(in_shape_);

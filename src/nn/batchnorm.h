@@ -20,6 +20,10 @@ class BatchNorm2D : public Layer {
   std::vector<Tensor*> buffers() override {
     return {&running_mean_, &running_var_};
   }
+  void release_caches() override {
+    xhat_ = Tensor();
+    std::vector<float>().swap(batch_inv_std_);
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<BatchNorm2D>(*this);
   }

@@ -1,10 +1,12 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/check.h"
 #include "nn/gemm.h"
 #include "nn/im2col.h"
+#include "nn/parallel.h"
 
 namespace rdo::nn {
 
@@ -33,53 +35,82 @@ Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
   const std::int64_t positions = oh * ow;
   const std::int64_t fin = fan_in();
 
+  // Y_s[oc, :] += W^T[oc, r] * cols_s[r, :], r ascending from +0: the
+  // per-element sum of the position-major GEMM (see DESIGN.md §5c).
+  std::vector<float> wt(static_cast<std::size_t>(out_ch_ * fin));
+  transpose(weight_.value.data(), wt.data(), fin, out_ch_);
   Tensor y({n, out_ch_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(positions * fin));
-  std::vector<float> ymat(static_cast<std::size_t>(positions * out_ch_));
-  for (std::int64_t s = 0; s < n; ++s) {
-    im2col(x.data() + s * in_ch_ * h * w, in_ch_, h, w, kernel_, kernel_,
-           stride_, pad_, cols.data());
-    gemm(cols.data(), weight_.value.data(), ymat.data(), positions, fin,
-         out_ch_);
-    float* ys = y.data() + s * out_ch_ * positions;
-    for (std::int64_t p = 0; p < positions; ++p) {
-      const float* row = ymat.data() + p * out_ch_;
+  parallel_for(n, [&](std::int64_t s0, std::int64_t s1) {
+    std::vector<float> cols(static_cast<std::size_t>(fin * positions));
+    for (std::int64_t s = s0; s < s1; ++s) {
+      im2col_cm(x.data() + s * in_ch_ * h * w, h, w, kernel_, kernel_,
+                stride_, pad_, 0, fin, cols.data());
+      float* ys = y.data() + s * out_ch_ * positions;
+      gemm_accumulate(wt.data(), cols.data(), ys, out_ch_, fin, positions);
+      if (!has_bias_) continue;
       for (std::int64_t oc = 0; oc < out_ch_; ++oc) {
-        ys[oc * positions + p] =
-            row[oc] + (has_bias_ ? bias_.value[oc] : 0.0f);
+        const float b = bias_.value[oc];
+        for (std::int64_t p = 0; p < positions; ++p) {
+          ys[oc * positions + p] += b;
+        }
       }
     }
-  }
+  });
   return y;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
+  RDO_CHECK(cached_in_.rank() == 4 &&
+                weight_.grad.size() == weight_.value.size(),
+            "Conv2D::backward: needs a forward() and allocated gradients");
   const Tensor& x = cached_in_;
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
   const std::int64_t positions = oh * ow;
   const std::int64_t fin = fan_in();
+  const float* g = grad_out.data();
 
+  // dX: dcols_s[r, :] += W[r, oc] * G_s[oc, :], oc ascending, scattered
+  // back through col2im_cm.
   Tensor grad_in({n, in_ch_, h, w});
-  std::vector<float> cols(static_cast<std::size_t>(positions * fin));
-  std::vector<float> gmat(static_cast<std::size_t>(positions * out_ch_));
-  std::vector<float> dcols(static_cast<std::size_t>(positions * fin));
-  for (std::int64_t s = 0; s < n; ++s) {
-    // Recompute im2col (cheaper than caching it for every layer).
-    im2col(x.data() + s * in_ch_ * h * w, in_ch_, h, w, kernel_, kernel_,
-           stride_, pad_, cols.data());
-    // Transpose grad_out[s] from [oc, positions] to [positions, oc].
-    const float* gs = grad_out.data() + s * out_ch_ * positions;
-    for (std::int64_t oc = 0; oc < out_ch_; ++oc) {
-      for (std::int64_t p = 0; p < positions; ++p) {
-        gmat[static_cast<std::size_t>(p * out_ch_ + oc)] =
-            gs[oc * positions + p];
-      }
+  parallel_for(n, [&](std::int64_t s0, std::int64_t s1) {
+    std::vector<float> dcols(static_cast<std::size_t>(fin * positions));
+    for (std::int64_t s = s0; s < s1; ++s) {
+      std::fill(dcols.begin(), dcols.end(), 0.0f);
+      gemm_accumulate(weight_.value.data(), g + s * out_ch_ * positions,
+                      dcols.data(), fin, out_ch_, positions);
+      col2im_cm(dcols.data(), in_ch_, h, w, kernel_, kernel_, stride_, pad_,
+                grad_in.data() + s * in_ch_ * h * w);
     }
-    // dW += cols^T * G
-    gemm_at_b_accumulate(cols.data(), gmat.data(), weight_.grad.data(), fin,
-                         positions, out_ch_);
-    if (has_bias_) {
+  });
+
+  // dW: each chunk owns receptive-field rows [r0, r1) and accumulates
+  // dW[r, oc] += cols_s[r, p] * G_s[oc, p] over (sample, position)
+  // ascending, onto the existing gradient. One chunk per pool thread keeps
+  // the rows long; the result does not depend on the split.
+  const std::int64_t per_thread =
+      (fin + thread_count() - 1) / static_cast<std::int64_t>(thread_count());
+  parallel_for(
+      fin,
+      [&](std::int64_t r0, std::int64_t r1) {
+        const std::int64_t rows = r1 - r0;
+        std::vector<float> cols(static_cast<std::size_t>(rows * positions));
+        std::vector<float> gt(static_cast<std::size_t>(positions * out_ch_));
+        for (std::int64_t s = 0; s < n; ++s) {
+          im2col_cm(x.data() + s * in_ch_ * h * w, h, w, kernel_, kernel_,
+                    stride_, pad_, r0, r1, cols.data());
+          transpose(g + s * out_ch_ * positions, gt.data(), out_ch_,
+                    positions);
+          gemm_accumulate(cols.data(), gt.data(),
+                          weight_.grad.data() + r0 * out_ch_, rows,
+                          positions, out_ch_);
+        }
+      },
+      per_thread);
+
+  if (has_bias_) {
+    for (std::int64_t s = 0; s < n; ++s) {
+      const float* gs = g + s * out_ch_ * positions;
       for (std::int64_t oc = 0; oc < out_ch_; ++oc) {
         float acc = 0.0f;
         for (std::int64_t p = 0; p < positions; ++p) {
@@ -88,15 +119,11 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
         bias_.grad[oc] += acc;
       }
     }
-    // dcols = G * W^T, then scatter back to the input gradient.
-    std::fill(dcols.begin(), dcols.end(), 0.0f);
-    gemm_a_bt_accumulate(gmat.data(), weight_.value.data(), dcols.data(),
-                         positions, out_ch_, fin);
-    col2im(dcols.data(), in_ch_, h, w, kernel_, kernel_, stride_, pad_,
-           grad_in.data() + s * in_ch_ * h * w);
   }
   return grad_in;
 }
+
+void Conv2D::release_caches() { cached_in_ = Tensor(); }
 
 std::vector<Param*> Conv2D::params() {
   std::vector<Param*> p{&weight_};

@@ -1,4 +1,6 @@
-// 2-D convolution layer lowered to GEMM via im2col.
+// 2-D convolution layer lowered to GEMM via a channel-major im2col (see
+// DESIGN.md §5c for the layout and why it is bit-identical to the
+// per-sample position-major lowering).
 #pragma once
 
 #include "nn/layer.h"
@@ -14,6 +16,10 @@ namespace rdo::nn {
 /// positions (the values driven onto wordlines after im2col), columns are
 /// output channels (bitlines). This makes the MatrixOp view an identity
 /// mapping, exactly how ISAAC maps convolutions onto crossbars.
+///
+/// forward() runs samples in parallel; backward() runs dX over samples
+/// and dW over receptive-field rows. Every output element keeps one
+/// fixed summation order, so results do not depend on RDO_THREADS.
 class Conv2D : public Layer, public MatrixOp {
  public:
   Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,
@@ -22,6 +28,7 @@ class Conv2D : public Layer, public MatrixOp {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
+  void release_caches() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Conv2D>(*this);
   }

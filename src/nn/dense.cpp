@@ -1,5 +1,7 @@
 #include "nn/dense.h"
 
+#include <vector>
+
 #include "core/check.h"
 #include "nn/gemm.h"
 
@@ -28,6 +30,9 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
+  RDO_CHECK(cached_in_.rank() == 2 &&
+                weight_.grad.size() == weight_.value.size(),
+            "Dense::backward: needs a forward() and allocated gradients");
   const std::int64_t n = cached_in_.dim(0);
   // dW[in, out] += X^T[in, n] * dY[n, out]
   gemm_at_b_accumulate(cached_in_.data(), grad_out.data(),
@@ -39,12 +44,16 @@ Tensor Dense::backward(const Tensor& grad_out) {
       }
     }
   }
-  // dX[n, in] = dY[n, out] * W^T[out, in]
+  // dX[n, in] = dY[n, out] * W^T[out, in]: each element sums over out
+  // ascending from +0, whichever operand order the products use.
+  std::vector<float> wt(static_cast<std::size_t>(out_ * in_));
+  transpose(weight_.value.data(), wt.data(), in_, out_);
   Tensor grad_in({n, in_});
-  gemm_a_bt_accumulate(grad_out.data(), weight_.value.data(), grad_in.data(),
-                       n, out_, in_);
+  gemm_accumulate(grad_out.data(), wt.data(), grad_in.data(), n, out_, in_);
   return grad_in;
 }
+
+void Dense::release_caches() { cached_in_ = Tensor(); }
 
 std::vector<Param*> Dense::params() {
   std::vector<Param*> p{&weight_};

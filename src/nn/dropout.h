@@ -15,6 +15,7 @@ class Dropout : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_caches() override { mask_ = Tensor(); }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Dropout>(*this);
   }

@@ -40,6 +40,16 @@ class Layer {
   /// Direct child layers (for recursive traversal of blocks).
   virtual std::vector<Layer*> children() { return {}; }
 
+  /// Free (not just shrink) everything forward() cached for backward():
+  /// inputs, masks, indices. The default recurses into children(); layers
+  /// with caches override it and free their own. The next forward()
+  /// rebuilds the caches, so outputs are unchanged; backward() needs a
+  /// forward() in between. Idle deployed twins call this so they hold no
+  /// per-request memory.
+  virtual void release_caches() {
+    for (Layer* child : children()) child->release_caches();
+  }
+
   /// Deep copy: an independent, identically-constructed layer holding
   /// copies of all parameters and buffers. The deployment pipeline uses
   /// this to work on a private twin of a trained network, so the caller's

@@ -28,6 +28,8 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_out) {
+  RDO_CHECK(static_cast<std::int64_t>(argmax_.size()) == grad_out.size(),
+            "MaxPool2D::backward: needs a matching forward()");
   Tensor grad_in(in_shape_);
   for (std::int64_t i = 0; i < grad_out.size(); ++i) {
     grad_in[argmax_[static_cast<std::size_t>(i)]] += grad_out[i];

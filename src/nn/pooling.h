@@ -54,6 +54,9 @@ class MaxPool2D : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_caches() override {
+    std::vector<std::int64_t>().swap(argmax_);
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2D>(*this);
   }

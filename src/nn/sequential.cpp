@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include "core/check.h"
+
 namespace rdo::nn {
 
 void collect_layers(Layer* layer, std::vector<Layer*>& out) {
@@ -67,6 +69,8 @@ Tensor Residual::forward(const Tensor& x, bool train) {
 }
 
 Tensor Residual::backward(const Tensor& grad_out) {
+  RDO_CHECK(relu_mask_.size() == grad_out.size(),
+            "Residual::backward: needs a matching forward()");
   Tensor g = grad_out;
   for (std::int64_t i = 0; i < g.size(); ++i) g[i] *= relu_mask_[i];
   Tensor grad_main = main_->backward(g);

@@ -50,6 +50,10 @@ class Residual : public Layer {
   std::vector<Param*> params() override;
   std::vector<Tensor*> buffers() override;
   std::vector<Layer*> children() override;
+  void release_caches() override {
+    relu_mask_ = Tensor();
+    Layer::release_caches();
+  }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "Residual"; }
 

@@ -74,24 +74,6 @@ TEST_P(GemmShapes, AtBMatchesReference) {
   expect_near(c, ref_gemm(a, b, m, k, n));
 }
 
-TEST_P(GemmShapes, ABtMatchesReference) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 7 + k * 3 + n));
-  const auto a = random_mat(m, k, rng);
-  // B stored as [n, k]; result C[m, n] = A B^T.
-  const auto b_t = random_mat(n, k, rng);
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      b[static_cast<std::size_t>(p * n + j)] =
-          b_t[static_cast<std::size_t>(j * k + p)];
-    }
-  }
-  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
-  gemm_a_bt_accumulate(a.data(), b_t.data(), c.data(), m, k, n);
-  expect_near(c, ref_gemm(a, b, m, k, n));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),

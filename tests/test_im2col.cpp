@@ -1,6 +1,7 @@
 // im2col / col2im correctness and adjointness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -52,9 +53,39 @@ TEST(Im2Col, PaddingProducesZeros) {
 class Im2ColAdjoint
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
 
-TEST_P(Im2ColAdjoint, Col2ImIsAdjointOfIm2Col) {
-  // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining property
-  // that makes the conv backward pass correct.
+TEST_P(Im2ColAdjoint, ChannelMajorIsTransposeOfPositionMajor) {
+  // The two layouts hold the same patch matrix, and a receptive-field
+  // range [r0, r1) of the channel-major form is a block of its rows.
+  const auto [c, h, k, stride, pad] = GetParam();
+  const std::int64_t w = h;
+  const std::int64_t positions =
+      conv_out_dim(h, k, stride, pad) * conv_out_dim(w, k, stride, pad);
+  const std::int64_t fin = c * k * k;
+  Rng rng(static_cast<std::uint64_t>(c * 100 + h * 10 + k + 7));
+  std::vector<float> x(static_cast<std::size_t>(c * h * w));
+  for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
+
+  std::vector<float> pm(static_cast<std::size_t>(positions * fin));
+  std::vector<float> cm(pm.size());
+  im2col(x.data(), c, h, w, k, k, stride, pad, pm.data());
+  im2col_cm(x.data(), h, w, k, k, stride, pad, 0, fin, cm.data());
+  for (std::int64_t p = 0; p < positions; ++p) {
+    for (std::int64_t r = 0; r < fin; ++r) {
+      ASSERT_EQ(pm[static_cast<std::size_t>(p * fin + r)],
+                cm[static_cast<std::size_t>(r * positions + p)])
+          << "position " << p << " entry " << r;
+    }
+  }
+  const std::int64_t r0 = fin / 3, r1 = fin - fin / 4;
+  std::vector<float> part(static_cast<std::size_t>((r1 - r0) * positions));
+  im2col_cm(x.data(), h, w, k, k, stride, pad, r0, r1, part.data());
+  EXPECT_TRUE(std::equal(part.begin(), part.end(),
+                         cm.begin() + r0 * positions));
+}
+
+TEST_P(Im2ColAdjoint, Col2ImCmIsAdjointOfIm2ColCm) {
+  // <im2col_cm(x), y> == <x, col2im_cm(y)> for all x, y — the defining
+  // property that makes the conv backward pass correct.
   const auto [c, h, k, stride, pad] = GetParam();
   const std::int64_t w = h;
   const std::int64_t oh = conv_out_dim(h, k, stride, pad);
@@ -68,9 +99,9 @@ TEST_P(Im2ColAdjoint, Col2ImIsAdjointOfIm2Col) {
   for (auto& v : y) v = static_cast<float>(rng.uniform(-1, 1));
 
   std::vector<float> cols(static_cast<std::size_t>(cols_size));
-  im2col(x.data(), c, h, w, k, k, stride, pad, cols.data());
+  im2col_cm(x.data(), h, w, k, k, stride, pad, 0, c * k * k, cols.data());
   std::vector<float> xg(x.size(), 0.0f);
-  col2im(y.data(), c, h, w, k, k, stride, pad, xg.data());
+  col2im_cm(y.data(), c, h, w, k, k, stride, pad, xg.data());
 
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < cols.size(); ++i) lhs += cols[i] * y[i];
@@ -85,14 +116,16 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 8, 3, 2, 1),
                       std::make_tuple(1, 7, 5, 1, 2),
                       std::make_tuple(4, 4, 1, 1, 0),
-                      std::make_tuple(2, 9, 3, 3, 0)));
+                      std::make_tuple(2, 9, 3, 3, 0),
+                      std::make_tuple(2, 7, 1, 2, 0),
+                      std::make_tuple(3, 4, 5, 1, 2)));
 
 TEST(Col2Im, AccumulatesOverlaps) {
   // k=2, stride 1 on 3x3: center pixel participates in all 4 windows.
   const std::int64_t oh = 2, ow = 2;
   std::vector<float> cols(static_cast<std::size_t>(oh * ow * 4), 1.0f);
   std::vector<float> grad(9, 0.0f);
-  col2im(cols.data(), 1, 3, 3, 2, 2, 1, 0, grad.data());
+  col2im_cm(cols.data(), 1, 3, 3, 2, 2, 1, 0, grad.data());
   EXPECT_FLOAT_EQ(grad[4], 4.0f);  // center
   EXPECT_FLOAT_EQ(grad[0], 1.0f);  // corner
   EXPECT_FLOAT_EQ(grad[1], 2.0f);  // edge

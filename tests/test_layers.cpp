@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 
+#include "core/check.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -394,4 +396,38 @@ TEST(Residual, CollectsNestedChildren) {
   collect_layers(&res, all);
   // residual + 2 sequentials + 2 convs
   EXPECT_EQ(all.size(), 5u);
+}
+
+TEST(ReleaseCaches, EveryCachingLayerFreesAndRebuilds) {
+  // After release_caches() a backward without a new forward is refused;
+  // the next forward rebuilds the caches and reproduces the same output
+  // and gradient bit for bit.
+  Rng rng(8);
+  auto residual = [&] {
+    auto main = std::make_unique<Sequential>();
+    main->emplace<Conv2D>(2, 2, 3, 1, 1, rng);
+    return std::make_unique<Residual>(std::move(main));
+  };
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Conv2D>(2, 3, 3, 1, 1, rng));
+  layers.push_back(std::make_unique<Dense>(2 * 4 * 4, 5, rng));
+  layers.push_back(std::make_unique<ReLU>());
+  layers.push_back(std::make_unique<MaxPool2D>(2));
+  layers.push_back(std::make_unique<BatchNorm2D>(2));
+  layers.push_back(residual());
+  const Tensor x = random_input({2, 2, 4, 4}, 21);
+  for (auto& layer : layers) {
+    SCOPED_TRACE(layer->name());
+    const Tensor y = layer->forward(x, false);
+    const Tensor g = random_input(y.shape(), 22);
+    const Tensor dx = layer->backward(g);
+    layer->release_caches();
+    EXPECT_THROW(layer->backward(g), rdo::core::ContractViolation);
+    const Tensor y2 = layer->forward(x, false);
+    ASSERT_EQ(y2.size(), y.size());
+    EXPECT_EQ(0, std::memcmp(y.data(), y2.data(), y.size() * sizeof(float)));
+    const Tensor dx2 = layer->backward(g);
+    EXPECT_EQ(0,
+              std::memcmp(dx.data(), dx2.data(), dx.size() * sizeof(float)));
+  }
 }

@@ -103,8 +103,7 @@ TEST(ParallelGemm, BitIdenticalAcrossThreadCounts) {
   const std::int64_t m = 97, k = 63, n = 41;
   nn::Rng rng(123);
   std::vector<float> a(static_cast<std::size_t>(m * k)),
-      at(static_cast<std::size_t>(k * m)), b(static_cast<std::size_t>(k * n)),
-      bt(static_cast<std::size_t>(n * k));
+      at(static_cast<std::size_t>(k * m)), b(static_cast<std::size_t>(k * n));
   for (auto& v : a) {
     v = rng.uniform(0.0, 1.0) < 0.3
             ? 0.0f
@@ -112,33 +111,27 @@ TEST(ParallelGemm, BitIdenticalAcrossThreadCounts) {
   }
   for (auto& v : at) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : bt) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const auto run_all = [&](std::vector<float>& c1, std::vector<float>& c2,
-                           std::vector<float>& c3) {
+  const auto run_all = [&](std::vector<float>& c1, std::vector<float>& c2) {
     c1.assign(static_cast<std::size_t>(m * n), 0.5f);
     c2.assign(static_cast<std::size_t>(m * n), 0.5f);
-    c3.assign(static_cast<std::size_t>(m * n), 0.5f);
     nn::gemm_accumulate(a.data(), b.data(), c1.data(), m, k, n);
     nn::gemm_at_b_accumulate(at.data(), b.data(), c2.data(), m, k, n);
-    nn::gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
   };
 
-  std::vector<float> s1, s2, s3;
+  std::vector<float> s1, s2;
   {
     ThreadGuard guard(1);
-    run_all(s1, s2, s3);
+    run_all(s1, s2);
   }
   for (int threads : {2, 4, 7}) {
     ThreadGuard guard(threads);
-    std::vector<float> p1, p2, p3;
-    run_all(p1, p2, p3);
+    std::vector<float> p1, p2;
+    run_all(p1, p2);
     EXPECT_EQ(0, std::memcmp(s1.data(), p1.data(), s1.size() * sizeof(float)))
         << "gemm_accumulate differs at " << threads << " threads";
     EXPECT_EQ(0, std::memcmp(s2.data(), p2.data(), s2.size() * sizeof(float)))
         << "gemm_at_b_accumulate differs at " << threads << " threads";
-    EXPECT_EQ(0, std::memcmp(s3.data(), p3.data(), s3.size() * sizeof(float)))
-        << "gemm_a_bt_accumulate differs at " << threads << " threads";
   }
 }
 

@@ -7,8 +7,12 @@
 #include "core/deploy.h"
 #include "core/plan.h"
 #include "data/synthetic.h"
+#include "core/check.h"
 #include "nn/activations.h"
+#include "nn/batchnorm.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/pooling.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
@@ -194,4 +198,71 @@ TEST(Pwt, ComplementedGroupsTuneWithFlippedSign) {
   backend.tune(f.ds.train());
   const float after = deployed_loss(backend, f.ds.train());
   EXPECT_LT(after, before + 1e-4f);
+}
+
+namespace {
+
+/// An idle twin holds no gradients and no forward caches: with gradients
+/// re-allocated by hand, every crossbar layer still refuses backward()
+/// for lack of a cached input.
+void expect_idle(EffectiveWeightBackend& backend) {
+  nn::Layer& net = backend.network();
+  for (nn::Param* p : net.params()) EXPECT_EQ(p->grad.size(), 0);
+  std::unique_ptr<nn::Layer> probe = net.clone();
+  for (nn::Param* p : probe->params()) p->grad = nn::Tensor(p->value.shape());
+  std::vector<nn::Layer*> all;
+  nn::collect_layers(probe.get(), all);
+  int crossbar_layers = 0;
+  for (nn::Layer* l : all) {
+    if (dynamic_cast<nn::MatrixOp*>(l) == nullptr) continue;
+    ++crossbar_layers;
+    EXPECT_THROW(l->backward(nn::Tensor({1, 1, 1, 1})),
+                 core::ContractViolation)
+        << l->name() << " kept its cached input";
+  }
+  EXPECT_EQ(crossbar_layers, 3);
+}
+
+}  // namespace
+
+TEST(Pwt, IdleTwinHoldsNoCachesAndReplaysExactly) {
+  // A conv twin with batch norm and a residual block: tune() and
+  // evaluate() release every cache and gradient, and a later round on the
+  // same backend reproduces the first one's accuracy and DeployStats.
+  auto& f = fixture();
+  nn::Rng rng(12);
+  nn::Sequential net;
+  net.emplace<nn::Conv2D>(1, 4, 3, 1, 1, rng);
+  net.emplace<nn::BatchNorm2D>(4);
+  net.emplace<nn::ReLU>();
+  auto main = std::make_unique<nn::Sequential>();
+  main->emplace<nn::Conv2D>(4, 4, 3, 1, 1, rng, /*bias=*/false);
+  main->emplace<nn::BatchNorm2D>(4);
+  net.push(std::make_unique<nn::Residual>(std::move(main)));
+  net.emplace<nn::MaxPool2D>(2);
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(4 * 5 * 5, 6, rng);
+  nn::SGD opt(net.params(), 0.05f);
+  for (int e = 0; e < 3; ++e) nn::train_epoch(net, opt, f.ds.train(), 16, rng);
+
+  const DeploymentPlan plan =
+      compile_plan(net, f.options(Scheme::PWT), f.ds.train());
+  EffectiveWeightBackend backend(plan, net);
+  expect_idle(backend);
+  backend.program_cycle(0);
+  backend.tune(f.ds.train());
+  expect_idle(backend);
+  const float first = backend.evaluate(f.ds.test());
+  expect_idle(backend);
+  const DeployStats once = backend.stats();
+
+  backend.program_cycle(0);
+  backend.tune(f.ds.train());
+  EXPECT_EQ(backend.evaluate(f.ds.test()), first);
+  expect_idle(backend);
+  DeployStats twice = once;
+  twice.merge(once);
+  EXPECT_EQ(deploy_stats_json(backend.stats()).dump(),
+            deploy_stats_json(twice).dump());
+  EXPECT_GT(once.pwt_offset_updates, 0);
 }
