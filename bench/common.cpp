@@ -280,12 +280,9 @@ void record_scheme_result(rdo::obs::BenchReport& rep,
   point["errors"] = std::move(errors);
   rep.results()["grid"].push_back(std::move(point));
 
-  rdo::core::add_deploy_phase_times(rep.recorder(), res.stats);
   rdo::obs::Recorder& rec = rep.recorder();
   for (double s : res.trial_seconds) rec.observe("trial_seconds", s);
-  for (double s : res.stats.eval_seconds) {
-    rec.observe("deploy_evaluate_seconds", s);
-  }
+  rdo::core::add_deploy_phase_times(rec, res.stats);
   rec.incr("grid_points");
   rec.incr("trials", static_cast<std::int64_t>(res.errors.size()));
   rec.incr("cycles", res.stats.cycles);

@@ -22,6 +22,7 @@
 #include "data/synthetic.h"
 #include "nn/sequential.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 
 namespace rdo::bench {
 

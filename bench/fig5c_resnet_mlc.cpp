@@ -21,7 +21,7 @@ int main() {
   float ideal = 0.0f;
   std::unique_ptr<nn::Sequential> net;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "harness", rep.recorder());
     net = cached_resnet(ds, &ideal);
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(ideal);
@@ -44,7 +44,7 @@ int main() {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<core::SchemeResult> grid;
   {
-    obs::PhaseTimer t(rep.recorder(), "deployment_sweep");
+    obs::TraceSpan t("deployment_sweep", "harness", rep.recorder());
     grid = run_grid(*net, jobs, ds.train(), ds.test(), 2);
   }
   const double secs =

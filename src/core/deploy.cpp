@@ -16,9 +16,7 @@ void DeployStats::merge(const DeployStats& other) {
   vawo_solve_s += other.vawo_solve_s;
   program_s += other.program_s;
   tune_s += other.tune_s;
-  eval_s += other.eval_s;
-  eval_seconds.insert(eval_seconds.end(), other.eval_seconds.begin(),
-                      other.eval_seconds.end());
+  eval_latency.merge(other.eval_latency);
   lut_cache_hits += other.lut_cache_hits;
   lut_cache_misses += other.lut_cache_misses;
   lut_cache_save_failures += other.lut_cache_save_failures;
@@ -60,7 +58,8 @@ void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s) {
   rec.add_phase("deploy:vawo_solve", s.vawo_solve_s);
   rec.add_phase("deploy:program", s.program_s);
   rec.add_phase("deploy:tune", s.tune_s);
-  rec.add_phase("deploy:evaluate", s.eval_s);
+  rec.add_phase("deploy:evaluate", s.eval_latency.sum_seconds);
+  rec.merge_histogram("deploy_evaluate_seconds", s.eval_latency);
 }
 
 void add_deploy_cache_counters(rdo::obs::Recorder& rec,

@@ -24,6 +24,7 @@
 #include "core/offset.h"
 #include "nn/layer.h"
 #include "nn/trainer.h"
+#include "obs/histogram.h"
 #include "obs/json.h"
 #include "obs/recorder.h"
 #include "rram/cell.h"
@@ -114,11 +115,11 @@ struct DeployStats {
   double vawo_solve_s = 0.0;  ///< CTW/offset assignment inside prepare
   double program_s = 0.0;     ///< device programming per cycle
   double tune_s = 0.0;        ///< PWT (warm start + gradient epochs + snap)
-  double eval_s = 0.0;        ///< test-set evaluation
-  /// Wall time of each evaluate() call (latency samples for the BENCH
-  /// `histograms` section). Volatile like the *_s sums above, so it is
-  /// excluded from deploy_stats_json().
-  std::vector<double> eval_seconds;
+  /// One sample per evaluate() call; sum_seconds is the total test-set
+  /// evaluation time. Fixed size however many calls a pooled backend
+  /// serves. Volatile like the *_s sums above, so it is excluded from
+  /// deploy_stats_json().
+  rdo::obs::LatencyHistogram eval_latency;
 
   // --- cache-effectiveness counters (environment-dependent) ---
   // Hit/miss/save-failure counts of the opt-in on-disk caches
@@ -157,7 +158,8 @@ struct DeployStats {
 [[nodiscard]] rdo::obs::Json deploy_stats_json(const DeployStats& s);
 
 /// Fold the volatile wall times into a Recorder's phase table under
-/// "deploy:*" names (aggregates across calls).
+/// "deploy:*" names (aggregates across calls), and the evaluate()
+/// latencies into its "deploy_evaluate_seconds" histogram.
 void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s);
 
 /// Surface the cache-effectiveness counters (lut_cache_* / plan_cache_*)

@@ -30,10 +30,14 @@ class Rng {
     return Rng(z);
   }
 
-  /// Standard normal sample scaled to N(mean, stddev^2).
+  /// Standard normal sample scaled to N(mean, stddev^2). The scaling
+  /// is the expression libstdc++ applies internally, so draws are
+  /// bit-identical to N(mean, stddev) — and stddev == 0 (an ideal,
+  /// variation-free device) returns `mean` instead of violating the
+  /// distribution's stddev > 0 precondition.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> d(0.0, 1.0);
+    return d(engine_) * stddev + mean;
   }
 
   /// Uniform real in [lo, hi).

@@ -21,37 +21,6 @@ int thread_shard() noexcept {
 
 }  // namespace metrics_internal
 
-int latency_bucket_index(double seconds) {
-  const double us = seconds * 1e6;
-  if (!(us >= 1.0)) return 0;  // sub-microsecond, NaN, negative
-  int exp = 0;
-  std::frexp(us, &exp);  // us = m * 2^exp, m in [0.5, 1)
-  return std::min(exp - 1, kLatencyBuckets - 1);
-}
-
-double latency_bucket_midpoint_seconds(int i) {
-  return std::exp2(i + 0.5) * 1e-6;
-}
-
-double latency_bucket_upper_seconds(int i) {
-  return std::exp2(i + 1) * 1e-6;
-}
-
-double latency_histogram_quantile(
-    const std::array<std::int64_t, kLatencyBuckets>& buckets,
-    std::int64_t count, double q, double min_s, double max_s) {
-  const auto rank =
-      static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count)));
-  std::int64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += buckets[i];
-    if (seen >= rank) {
-      return std::clamp(latency_bucket_midpoint_seconds(i), min_s, max_s);
-    }
-  }
-  return max_s;
-}
-
 namespace {
 
 /// Relaxed CAS loop folding one sample into a running min or max.
@@ -84,8 +53,8 @@ void Histogram::observe(double seconds) noexcept {
                  [](double a, double b) { return a > b; });
 }
 
-HistogramSnapshot Histogram::snapshot() const noexcept {
-  HistogramSnapshot out;
+LatencyHistogram Histogram::snapshot() const noexcept {
+  LatencyHistogram out;
   std::int64_t sum_ns = 0;
   for (const Shard& s : shards_) {
     for (int i = 0; i < kLatencyBuckets; ++i) {
@@ -157,24 +126,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-Json histogram_snapshot_json(const HistogramSnapshot& h) {
-  Json e = Json::object();
-  e["count"] = h.count;
-  e["sum_seconds"] = h.sum_seconds;
-  e["min_seconds"] = h.min_seconds;
-  e["max_seconds"] = h.max_seconds;
-  e["p50_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.50,
-                                                h.min_seconds, h.max_seconds);
-  e["p95_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.95,
-                                                h.min_seconds, h.max_seconds);
-  e["p99_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.99,
-                                                h.min_seconds, h.max_seconds);
-  Json buckets = Json::array();
-  for (const std::int64_t c : h.buckets) buckets.push_back(c);
-  e["bucket_counts"] = std::move(buckets);
-  return e;
-}
-
 Json MetricsRegistry::snapshot_json() const {
   const MetricsSnapshot snap = snapshot();
   Json doc = Json::object();
@@ -186,7 +137,7 @@ Json MetricsRegistry::snapshot_json() const {
   doc["gauges"] = std::move(gauges);
   Json hists = Json::object();
   for (const auto& [name, h] : snap.histograms) {
-    hists[name] = histogram_snapshot_json(h);
+    hists[name] = h.json();
   }
   doc["histograms"] = std::move(hists);
   return doc;
@@ -256,10 +207,7 @@ void absorb_metrics(Recorder& rec, const MetricsRegistry& registry) {
   const MetricsSnapshot snap = registry.snapshot();
   for (const auto& [name, v] : snap.counters) rec.incr(name, v);
   for (const auto& [name, v] : snap.gauges) rec.set_gauge(name, v);
-  for (const auto& [name, h] : snap.histograms) {
-    rec.merge_histogram(name, h.count, h.min_seconds, h.max_seconds,
-                        h.buckets);
-  }
+  for (const auto& [name, h] : snap.histograms) rec.merge_histogram(name, h);
 }
 
 namespace {

@@ -12,11 +12,10 @@
 //                cache-line-padded relaxed atomics chosen per thread,
 //                so concurrent increments never contend on one line.
 //   * Gauge      last-write-wins double (atomic store/load).
-//   * Histogram  log2-microsecond latency buckets with the exact
-//                geometry of the Recorder's histograms (obs/recorder.h
-//                kLatencyBuckets), plus a sum track, so a registry
-//                histogram can be absorbed into a BENCH document
-//                without resampling.
+//   * Histogram  sharded atomic log2-microsecond buckets plus a sum
+//                track; snapshot() returns the shared LatencyHistogram
+//                (obs/histogram.h), so a registry histogram can be
+//                absorbed into a BENCH document without resampling.
 //
 // Instruments are created on first use and never destroyed, so a
 // resolved Counter& stays valid for the registry's lifetime — resolve
@@ -45,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/json.h"
 #include "obs/recorder.h"
 
@@ -64,22 +64,6 @@ struct alignas(64) ShardedCell {
   std::atomic<std::int64_t> v{0};
 };
 }  // namespace metrics_internal
-
-/// Histogram bucket index for a latency in seconds: floor(log2(µs)),
-/// clamped to [0, kLatencyBuckets). Shared with the Recorder so both
-/// instruments bucket identically.
-int latency_bucket_index(double seconds);
-/// Seconds at the geometric midpoint of bucket i.
-double latency_bucket_midpoint_seconds(int i);
-/// Upper bound of bucket i in seconds (2^(i+1) µs) — the Prometheus
-/// `le` label.
-double latency_bucket_upper_seconds(int i);
-/// Value at quantile q of a bucketed latency distribution: the
-/// geometric midpoint of the rank bucket, clamped to [min_s, max_s].
-/// Shared by Recorder::histograms_json and the registry exports.
-double latency_histogram_quantile(
-    const std::array<std::int64_t, kLatencyBuckets>& buckets,
-    std::int64_t count, double q, double min_s, double max_s);
 
 /// Monotonic counter. add() is wait-free on x86: one relaxed fetch_add
 /// on the calling thread's shard.
@@ -111,22 +95,14 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Point-in-time view of one histogram (sums over all shards).
-struct HistogramSnapshot {
-  std::int64_t count = 0;
-  double sum_seconds = 0.0;
-  double min_seconds = 0.0;
-  double max_seconds = 0.0;
-  std::array<std::int64_t, kLatencyBuckets> buckets{};
-};
-
 /// Log2-µs latency histogram. observe() touches only the calling
 /// thread's shard (bucket increment + nanosecond sum) plus two relaxed
 /// CAS loops for min/max.
 class Histogram {
  public:
   void observe(double seconds) noexcept;
-  [[nodiscard]] HistogramSnapshot snapshot() const noexcept;
+  /// Point-in-time view summed over all shards.
+  [[nodiscard]] LatencyHistogram snapshot() const noexcept;
 
  private:
   struct alignas(64) Shard {
@@ -146,7 +122,7 @@ class Histogram {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::int64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  std::vector<std::pair<std::string, LatencyHistogram>> histograms;
 };
 
 class MetricsRegistry {
@@ -165,9 +141,7 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with
-  /// sorted member names; histogram entries carry the Recorder's
-  /// histogram shape (count/min/max/p50/p95/p99/bucket_counts) plus
-  /// sum_seconds.
+  /// sorted member names; histogram entries are LatencyHistogram::json().
   [[nodiscard]] Json snapshot_json() const;
 
   /// Prometheus text exposition (version 0.0.4): every name prefixed
@@ -186,12 +160,8 @@ class MetricsRegistry {
 /// per InferenceService) construct their own.
 MetricsRegistry& global_metrics();
 
-/// JSON form of one HistogramSnapshot (the snapshot_json() entry shape).
-[[nodiscard]] Json histogram_snapshot_json(const HistogramSnapshot& h);
-
 /// Fold a registry snapshot into a Recorder at report time: counters
-/// incr, gauges set, histograms merge bucket-by-bucket (sum_seconds has
-/// no Recorder slot and is dropped). An empty registry is a no-op, so
+/// incr, gauges set, histograms merge. An empty registry is a no-op, so
 /// reports that never used the registry are byte-identical to before.
 void absorb_metrics(Recorder& rec, const MetricsRegistry& registry);
 

@@ -1,4 +1,5 @@
-// Named phase timers, counters and gauges for one harness run.
+// Named phase times, counters, gauges and latency histograms for one
+// harness run.
 //
 // Split along the determinism boundary the BENCH_*.json schema encodes:
 // phases are wall-clock measurements (volatile across machines and
@@ -7,25 +8,22 @@
 // A Recorder is thread-safe so parallel Monte-Carlo tasks can report
 // into one instance; merge order never affects the serialized output
 // because entries accumulate under stable insertion-ordered names.
+//
+// Phases are usually filled by a span: TraceSpan(name, cat, recorder)
+// (obs/trace.h) adds its wall time here and emits a trace event under
+// the same name. Standard library + obs::Json only (rdo_obs_base).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/json.h"
-#include "obs/stopwatch.h"
 
 namespace rdo::obs {
-
-/// Latency histograms use fixed log-scale buckets: bucket i counts
-/// samples in [2^i, 2^(i+1)) microseconds, so 28 buckets span 1 us to
-/// ~4.5 minutes. The fixed geometry keeps the serialized shape stable
-/// regardless of the samples observed.
-inline constexpr int kLatencyBuckets = 28;
 
 class Recorder {
  public:
@@ -40,18 +38,13 @@ class Recorder {
   void set_gauge(const std::string& name, double value);
 
   /// Record one latency sample (seconds) into histogram `name` (created
-  /// on first use). Samples below 1 us land in bucket 0, samples beyond
-  /// the top bucket in the last one; min/max track the raw values.
+  /// on first use); see LatencyHistogram::observe.
   void observe(const std::string& name, double seconds);
 
-  /// Merge a pre-bucketed histogram (same fixed geometry) into
-  /// histogram `name`: bucket counts add, min/max widen. Used by
-  /// absorb_metrics (obs/metrics.h) to fold a live registry histogram
-  /// into the report without resampling. A zero-count merge is a no-op.
-  void merge_histogram(const std::string& name, std::int64_t count,
-                       double min_seconds, double max_seconds,
-                       const std::array<std::int64_t, kLatencyBuckets>&
-                           bucket_counts);
+  /// Merge a whole histogram into histogram `name` without resampling
+  /// (absorb_metrics, DeployStats::eval_latency). Merging an empty
+  /// histogram is a no-op and creates no entry.
+  void merge_histogram(const std::string& name, const LatencyHistogram& h);
 
   [[nodiscard]] double phase_seconds(const std::string& name) const;
   [[nodiscard]] std::int64_t counter(const std::string& name) const;
@@ -62,40 +55,19 @@ class Recorder {
   [[nodiscard]] Json counters_json() const;
   /// `{name: value, ...}` — deterministic.
   [[nodiscard]] Json gauges_json() const;
-  /// `{name: {count, min/max_seconds, p50/p95/p99_seconds,
-  /// bucket_counts[kLatencyBuckets]}, ...}` — wall-clock derived, so it
-  /// belongs to the volatile half of the schema. Quantiles are the
-  /// geometric midpoint of the rank bucket, clamped to [min, max].
+  /// `{name: LatencyHistogram::json(), ...}` — wall-clock derived, so it
+  /// belongs to the volatile half of the schema.
   [[nodiscard]] Json histograms_json() const;
 
  private:
-  struct Histogram {
-    std::int64_t count = 0;
-    double min_seconds = 0.0;
-    double max_seconds = 0.0;
-    std::array<std::int64_t, kLatencyBuckets> buckets{};
-  };
+  /// Find-or-create histogram `name`. Caller holds mu_.
+  LatencyHistogram& histogram_locked(const std::string& name);
 
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, double>> phases_;
   std::vector<std::pair<std::string, std::int64_t>> counters_;
   std::vector<std::pair<std::string, double>> gauges_;
-  std::vector<std::pair<std::string, Histogram>> histograms_;
-};
-
-/// RAII helper timing one phase of a Recorder.
-class PhaseTimer {
- public:
-  PhaseTimer(Recorder& rec, std::string name)
-      : rec_(rec), name_(std::move(name)) {}
-  ~PhaseTimer() { rec_.add_phase(name_, watch_.seconds()); }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  Recorder& rec_;
-  std::string name_;
-  Stopwatch watch_;
+  std::vector<std::pair<std::string, LatencyHistogram>> histograms_;
 };
 
 }  // namespace rdo::obs

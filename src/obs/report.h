@@ -8,7 +8,7 @@
 //     "env":      { ... }                      // volatile (env.h)
 //     "timing":   { total_seconds, phases[] }  // volatile wall times
 //     "pool":     { ... }                      // volatile thread-pool stats
-//     "histograms": { name: {count, min/max/p50/p95/p99_seconds,
+//     "histograms": { name: {count, sum/min/max/p50/p95/p99_seconds,
 //                            bucket_counts[]}, ... }  // volatile latencies
 //     "counters": { name: int, ... }           // deterministic
 //     "gauges":   { name: number, ... }        // deterministic
@@ -28,6 +28,7 @@
 
 #include "obs/json.h"
 #include "obs/recorder.h"
+#include "obs/stopwatch.h"
 
 namespace rdo::obs {
 

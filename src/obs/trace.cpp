@@ -9,6 +9,7 @@
 
 #include "obs/envvar.h"
 #include "obs/log.h"
+#include "obs/recorder.h"
 
 namespace rdo::obs {
 
@@ -244,30 +245,43 @@ void trace_counter(const char* name, std::int64_t value) {
                                std::move(args));
 }
 
-void TraceSpan::begin(const char* name, const char* cat) {
-  live_ = true;
-  name_ = name;
-  cat_ = cat;
+void TraceSpan::begin(const char* name) {
+  timed_ = true;
+  if (traced_ || rec_ != nullptr) name_ = name;
   start_ns_ = trace_internal::wall_ns();
 }
 
-void TraceSpan::end() {
+void TraceSpan::end() noexcept {
   const std::int64_t dur = trace_internal::wall_ns() - start_ns_;
-  trace_internal::append_event('X', std::move(name_), cat_, start_ns_, dur,
-                               std::move(args_));
-  live_ = false;
+  const bool traced = std::exchange(traced_, false);
+  timed_ = false;
+  const double seconds = static_cast<double>(dur) * 1e-9;
+  if (seconds_ != nullptr) *seconds_ += seconds;
+  // Runs from the destructor: an allocation failure while recording is
+  // logged, never thrown out of it.
+  try {
+    if (rec_ != nullptr) rec_->add_phase(name_, seconds);
+    if (traced) {
+      trace_internal::append_event('X', name_, cat_, start_ns_, dur,
+                                   std::move(args_));
+    }
+  } catch (const std::exception& e) {
+    log_error("trace", "span not recorded")
+        .with("span", name_)
+        .with("error", e.what());
+  }
 }
 
 void TraceSpan::arg(const char* key, std::int64_t v) {
-  if (live_) args_[key] = v;
+  if (traced_) args_[key] = v;
 }
 
 void TraceSpan::arg(const char* key, double v) {
-  if (live_) args_[key] = v;
+  if (traced_) args_[key] = v;
 }
 
 void TraceSpan::arg(const char* key, const std::string& v) {
-  if (live_) args_[key] = v;
+  if (traced_) args_[key] = v;
 }
 
 namespace {

@@ -16,9 +16,10 @@
 // BENCH determinism contract (obs/report.h) are unaffected either way:
 // clocks never feed back into any computation.
 //
-// This header lives in rdo_obs_base (json + trace only, no other
-// dependencies) so the nn thread pool can emit per-chunk spans without
-// creating a cycle against rdo_obs, which links rdo_nn for pool stats.
+// This header lives in rdo_obs_base (json, trace, histogram and
+// recorder: standard library only) so the nn thread pool can emit
+// per-chunk spans without creating a cycle against rdo_obs, which links
+// rdo_nn for pool stats.
 #pragma once
 
 #include <atomic>
@@ -74,38 +75,66 @@ void trace_bind_thread(int tid, const std::string& name);
 /// counter track named `name`). No-op when tracing is off.
 void trace_counter(const char* name, std::int64_t value);
 
-/// RAII complete span: measures construction -> destruction and records
-/// one "ph":"X" event on the calling thread's track. When tracing is
-/// off the constructor is a single relaxed atomic check and every other
-/// member is a no-op.
+class Recorder;
+
+/// The one RAII phase primitive. Measures construction -> destruction
+/// (or finish()) once and, from that single measurement:
+///   * records one "ph":"X" event on the calling thread's track while
+///     tracing is on;
+///   * adds the elapsed seconds to `*seconds` when a sink is given
+///     (the DeployStats phase times);
+///   * or adds them to the Recorder phase of the same name (harness
+///     phases in the BENCH `timing` section).
+/// The clock is read only when tracing is on or a sink is given; an
+/// unsunk span with tracing off costs one relaxed atomic load and every
+/// other member is a no-op. `name` is copied when the span will need it
+/// (traced or Recorder-sunk), so a temporary is fine; `cat` is kept by
+/// pointer in the trace buffer and must be a string literal.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name, const char* cat = "rdo") {
-    if (trace_enabled()) begin(name, cat);
+  explicit TraceSpan(const char* name, const char* cat = "rdo",
+                     double* seconds = nullptr)
+      : cat_(cat), seconds_(seconds) {
+    traced_ = trace_enabled();
+    if (traced_ || seconds_ != nullptr) begin(name);
   }
-  ~TraceSpan() {
-    if (live_) end();
+  TraceSpan(const char* name, const char* cat, Recorder& rec)
+      : cat_(cat), rec_(&rec) {
+    traced_ = trace_enabled();
+    begin(name);
   }
+  ~TraceSpan() { finish(); }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// End the span now: emit the event and feed the sink. Later calls
+  /// and the destructor do nothing. For callers that need the elapsed
+  /// time before the scope closes (request logging, latency samples).
+  void finish() noexcept {
+    if (timed_) end();
+  }
+
   /// Attach a key/value to the span's `args` block (no-op when the
-  /// span is inactive — guard expensive arg computation on active()).
+  /// span is not traced — guard expensive arg computation on active()).
   void arg(const char* key, std::int64_t v);
   void arg(const char* key, int v) { arg(key, static_cast<std::int64_t>(v)); }
   void arg(const char* key, double v);
   void arg(const char* key, const std::string& v);
 
-  [[nodiscard]] bool active() const { return live_; }
+  /// True while the span will emit a trace event.
+  [[nodiscard]] bool active() const { return traced_; }
 
  private:
-  void begin(const char* name, const char* cat);
-  void end();
+  void begin(const char* name);
+  void end() noexcept;
 
-  bool live_ = false;
+  std::string name_;  // set only when traced or Recorder-sunk
+  const char* cat_;
+  double* seconds_ = nullptr;
+  Recorder* rec_ = nullptr;
+  bool traced_ = false;  ///< emits an event at end()
+  bool timed_ = false;   ///< clock read at begin(); end() pending
   std::int64_t start_ns_ = 0;
-  std::string name_;
-  const char* cat_ = "";
   Json args_;  // Null until the first arg() call
 };
 

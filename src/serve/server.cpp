@@ -294,10 +294,10 @@ Json InferenceService::stats_result() {
 }
 
 std::string InferenceService::handle_line(const std::string& line) {
-  rdo::obs::Stopwatch watch;
+  double seconds = 0.0;
+  rdo::obs::TraceSpan span("serve:request", "serve", &seconds);
   const auto rid = static_cast<std::int64_t>(
       request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  rdo::obs::TraceSpan span("serve:request", "serve");
   span.arg("request_id", rid);
   c_requests_.add();
   const char* op_name = "?";
@@ -355,7 +355,7 @@ std::string InferenceService::handle_line(const std::string& line) {
     c_internal_.add();
     out = error_response(id, ErrorCode::Internal, e.what());
   }
-  const double seconds = watch.seconds();
+  span.finish();
   h_request_seconds_.observe(seconds);
   if (slow_threshold_s_ >= 0.0 && seconds >= slow_threshold_s_) {
     c_slow_requests_.add();

@@ -1,17 +1,15 @@
-// Dropout, LR schedules, AlexNet, RLut persistence, and the risk
-// analysis module.
+// Dropout, RLut persistence, and the risk analysis module.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "core/analysis.h"
 #include "data/synthetic.h"
-#include "models/alexnet.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
-#include "nn/lr_schedule.h"
 #include "nn/optimizer.h"
+#include "nn/sequential.h"
 #include "quant/act_quant.h"
 #include "rram/rlut.h"
 
@@ -72,88 +70,6 @@ TEST(Dropout, RejectsBadProbability) {
   nn::Dropout d(1.0f, 5);
   Tensor x({2});
   EXPECT_THROW(d.forward(x, true), std::invalid_argument);
-}
-
-// ----------------------------------------------------------- LR schedules
-
-TEST(LrSchedule, StepDecay) {
-  nn::StepDecay s(1.0f, 10, 0.1f);
-  EXPECT_FLOAT_EQ(s.at(0), 1.0f);
-  EXPECT_FLOAT_EQ(s.at(9), 1.0f);
-  EXPECT_FLOAT_EQ(s.at(10), 0.1f);
-  EXPECT_NEAR(s.at(25), 0.01f, 1e-7f);
-  EXPECT_THROW(nn::StepDecay(1.0f, 0), std::invalid_argument);
-}
-
-TEST(LrSchedule, CosineDecayEndpoints) {
-  nn::CosineDecay c(1.0f, 100, 0.0f);
-  EXPECT_FLOAT_EQ(c.at(0), 1.0f);
-  EXPECT_NEAR(c.at(50), 0.5f, 1e-3f);
-  EXPECT_NEAR(c.at(100), 0.0f, 1e-6f);
-  EXPECT_NEAR(c.at(150), 0.0f, 1e-6f);  // past the horizon
-}
-
-TEST(LrSchedule, CosineIsMonotoneDecreasing) {
-  nn::CosineDecay c(0.5f, 40, 0.01f);
-  for (int e = 1; e < 40; ++e) EXPECT_LE(c.at(e), c.at(e - 1) + 1e-7f);
-}
-
-TEST(LrSchedule, WarmupRampsLinearly) {
-  nn::Warmup<nn::CosineDecay> w(nn::CosineDecay(1.0f, 100), 4);
-  EXPECT_LT(w.at(0), w.at(1));
-  EXPECT_LT(w.at(1), w.at(3));
-  // After warmup, follows the inner schedule.
-  EXPECT_FLOAT_EQ(w.at(10), nn::CosineDecay(1.0f, 100).at(10));
-}
-
-// ----------------------------------------------------------------- AlexNet
-
-TEST(AlexNet, ForwardShape) {
-  Rng rng(1);
-  models::AlexNetConfig cfg;
-  cfg.base_channels = 4;
-  auto net = models::make_alexnet(cfg, rng);
-  Tensor x({2, 3, 32, 32});
-  x.uniform_init(rng, 0.0f, 1.0f);
-  Tensor y = net->forward(x, /*train=*/false);
-  EXPECT_EQ(y.dim(0), 2);
-  EXPECT_EQ(y.dim(1), 10);
-}
-
-TEST(AlexNet, TrainAndEvalModesDiffer) {
-  // Dropout makes train-mode forward stochastic and eval deterministic.
-  Rng rng(2);
-  models::AlexNetConfig cfg;
-  cfg.base_channels = 4;
-  auto net = models::make_alexnet(cfg, rng);
-  Tensor x({1, 3, 32, 32});
-  x.uniform_init(rng, 0.0f, 1.0f);
-  Tensor e1 = net->forward(x, false);
-  Tensor e2 = net->forward(x, false);
-  for (std::int64_t i = 0; i < e1.size(); ++i) {
-    EXPECT_FLOAT_EQ(e1[i], e2[i]);
-  }
-  Tensor t1 = net->forward(x, true);
-  Tensor t2 = net->forward(x, true);
-  bool any_diff = false;
-  for (std::int64_t i = 0; i < t1.size(); ++i) {
-    if (t1[i] != t2[i]) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(AlexNet, HasSixCrossbarLayers) {
-  Rng rng(3);
-  models::AlexNetConfig cfg;
-  cfg.base_channels = 4;
-  auto net = models::make_alexnet(cfg, rng);
-  std::vector<nn::Layer*> all;
-  collect_layers(net.get(), all);
-  int ops = 0;
-  for (nn::Layer* l : all) {
-    if (dynamic_cast<nn::MatrixOp*>(l)) ++ops;
-  }
-  EXPECT_EQ(ops, 6);  // 4 convs + 2 fc
 }
 
 // ------------------------------------------------------- RLut persistence
@@ -341,35 +257,4 @@ TEST(Analysis, PerLayerRisksMatchNetworkAggregate) {
     n += counts[i];
   }
   EXPECT_NEAR(core::network_risk(plan), std::sqrt(total / n) / 255.0, 1e-9);
-}
-
-TEST(Analysis, GranularityTunerPicksCoarsestWithinBudget) {
-  auto& f = rf();
-  core::DeployOptions base;
-  base.scheme = core::Scheme::VAWOStar;
-  base.cell = {rram::CellKind::SLC, 200.0};
-  base.variation.sigma = 0.4;
-  base.seed = 6;
-  // A generous budget accepts the coarsest candidate.
-  const auto loose = core::choose_granularity(f.net, base, f.ds.train(),
-                                              {5, 10, 20}, 1.0);
-  EXPECT_TRUE(loose.within_budget);
-  EXPECT_EQ(loose.m, 20);
-  EXPECT_EQ(loose.candidates.size(), 3u);
-  // An impossible budget falls back to the minimum-risk candidate.
-  const auto strict = core::choose_granularity(f.net, base, f.ds.train(),
-                                               {5, 10, 20}, 1e-12);
-  EXPECT_FALSE(strict.within_budget);
-  double best = 1e9;
-  for (const auto& [m, r] : strict.candidates) best = std::min(best, r);
-  EXPECT_DOUBLE_EQ(strict.risk, best);
-}
-
-TEST(Analysis, GranularityTunerRejectsEmptyCandidates) {
-  auto& f = rf();
-  core::DeployOptions base;
-  base.variation.sigma = 0.4;
-  EXPECT_THROW(
-      core::choose_granularity(f.net, base, f.ds.train(), {}, 0.5),
-      std::invalid_argument);
 }

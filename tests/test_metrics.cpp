@@ -77,10 +77,10 @@ TEST(Metrics, BucketGeometryMatchesRecorderContract) {
   }
 }
 
-TEST(Metrics, HistogramSnapshotTracksCountSumAndExtremes) {
+TEST(Metrics, RegistrySnapshotTracksCountSumAndExtremes) {
   obs::MetricsRegistry reg;
   obs::Histogram& h = reg.histogram("serve_request_seconds");
-  obs::HistogramSnapshot empty = h.snapshot();
+  obs::LatencyHistogram empty = h.snapshot();
   EXPECT_EQ(empty.count, 0);
   EXPECT_EQ(empty.min_seconds, 0.0);
   EXPECT_EQ(empty.max_seconds, 0.0);
@@ -88,7 +88,7 @@ TEST(Metrics, HistogramSnapshotTracksCountSumAndExtremes) {
   h.observe(3.0e-6);
   h.observe(40.0e-6);
   h.observe(1.0e-3);
-  const obs::HistogramSnapshot s = h.snapshot();
+  const obs::LatencyHistogram s = h.snapshot();
   EXPECT_EQ(s.count, 3);
   EXPECT_EQ(s.min_seconds, 3.0e-6);
   EXPECT_EQ(s.max_seconds, 1.0e-3);
@@ -128,7 +128,7 @@ void stress_registry(int nthreads) {
 
   const std::int64_t n = static_cast<std::int64_t>(nthreads) * kPerThread;
   EXPECT_EQ(c.value(), 2 * n);
-  const obs::HistogramSnapshot s = h.snapshot();
+  const obs::LatencyHistogram s = h.snapshot();
   EXPECT_EQ(s.count, n);
   EXPECT_EQ(s.min_seconds, 1.0e-6);
   EXPECT_EQ(s.max_seconds, 64.0e-6);
@@ -171,7 +171,7 @@ TEST(Metrics, PrometheusExpositionGolden) {
 
   // Expected text built with the same bucket-boundary formatting the
   // exposition promises (le = 2^(i+1) µs rendered with %g).
-  const obs::HistogramSnapshot hs =
+  const obs::LatencyHistogram hs =
       reg.histogram("serve_request_seconds").snapshot();
   std::string expected;
   expected += "# TYPE rdo_serve_requests counter\n";
@@ -198,15 +198,47 @@ TEST(Metrics, PrometheusExpositionGolden) {
 }
 
 TEST(Metrics, QuantileWalksBucketsAndClamps) {
-  std::array<std::int64_t, obs::kLatencyBuckets> buckets{};
-  buckets[3] = 10;  // ten samples in [8µs, 16µs)
-  const double q50 =
-      obs::latency_histogram_quantile(buckets, 10, 0.50, 9.0e-6, 12.0e-6);
-  EXPECT_EQ(q50, obs::latency_bucket_midpoint_seconds(3));
+  obs::LatencyHistogram h;
+  h.count = 10;
+  h.buckets[3] = 10;  // ten samples in [8µs, 16µs)
+  h.min_seconds = 9.0e-6;
+  h.max_seconds = 12.0e-6;
+  EXPECT_EQ(h.quantile(0.50), obs::latency_bucket_midpoint_seconds(3));
   // Clamped to the observed extremes when the midpoint overshoots.
-  const double q99 =
-      obs::latency_histogram_quantile(buckets, 10, 0.99, 9.0e-6, 1.0e-5);
-  EXPECT_EQ(q99, 1.0e-5);
+  h.max_seconds = 1.0e-5;
+  EXPECT_EQ(h.quantile(0.99), 1.0e-5);
+}
+
+TEST(Metrics, LatencyHistogramMergeEqualsObservingTheUnion) {
+  // Dyadic samples keep every partial sum exact, so the merged and the
+  // directly observed histograms must serialize byte-identically.
+  const std::vector<double> a = {std::ldexp(1.0, -19), std::ldexp(1.0, -10),
+                                 0.5, std::ldexp(1.0, -22)};
+  const std::vector<double> b = {std::ldexp(1.0, -18), std::ldexp(1.0, -10),
+                                 2.0};
+  obs::LatencyHistogram ha, hb, all;
+  for (const double s : a) {
+    ha.observe(s);
+    all.observe(s);
+  }
+  for (const double s : b) {
+    hb.observe(s);
+    all.observe(s);
+  }
+  obs::LatencyHistogram merged = ha;
+  merged.merge(hb);
+  EXPECT_EQ(merged.json().dump(), all.json().dump());
+  EXPECT_EQ(merged.count, 7);
+  EXPECT_EQ(merged.min_seconds, std::ldexp(1.0, -22));
+  EXPECT_EQ(merged.max_seconds, 2.0);
+
+  // Empty on either side: merging nothing is a no-op, merging into an
+  // empty histogram copies.
+  obs::LatencyHistogram empty;
+  merged.merge(empty);
+  EXPECT_EQ(merged.json().dump(), all.json().dump());
+  empty.merge(all);
+  EXPECT_EQ(empty.json().dump(), all.json().dump());
 }
 
 TEST(Metrics, AbsorbFoldsRegistryIntoRecorder) {
@@ -230,6 +262,7 @@ TEST(Metrics, AbsorbFoldsRegistryIntoRecorder) {
   EXPECT_EQ(lat->find("count")->as_int(), 3);  // merged, not resampled
   EXPECT_EQ(lat->find("min_seconds")->as_double(), 3.0e-6);
   EXPECT_EQ(lat->find("max_seconds")->as_double(), 2.0e-3);
+  EXPECT_NEAR(lat->find("sum_seconds")->as_double(), 2.0e-3 + 43.0e-6, 1e-12);
 }
 
 TEST(Metrics, AbsorbOfEmptyRegistryIsByteIdenticalNoOp) {

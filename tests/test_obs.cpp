@@ -11,10 +11,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "core/backend.h"
 #include "core/deploy.h"
+#include "core/plan.h"
 #include "obs/envvar.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
@@ -294,6 +297,59 @@ TEST(Determinism, TracingDoesNotPerturbTheReport) {
   ASSERT_EQ(rdo::obs::trace_stop(), path);
   EXPECT_EQ(traced, untraced);
   std::filesystem::remove(path);
+}
+
+TEST(DeployStats, MergeFoldsTheEvalLatencyHistogram) {
+  rdo::core::DeployStats a, b;
+  a.eval_latency.observe(0.25);
+  b.eval_latency.observe(0.5);
+  b.eval_latency.observe(2.0);
+  a.merge(b);
+  EXPECT_EQ(a.eval_latency.count, 3);
+  EXPECT_EQ(a.eval_latency.sum_seconds, 2.75);
+  EXPECT_EQ(a.eval_latency.min_seconds, 0.25);
+  EXPECT_EQ(a.eval_latency.max_seconds, 2.0);
+  // Wall times stay out of the deterministic record...
+  EXPECT_EQ(rdo::core::deploy_stats_json(a).dump().find("seconds"),
+            std::string::npos);
+  // ...and reach a report as the deploy:evaluate phase and histogram.
+  rdo::obs::Recorder rec;
+  rdo::core::add_deploy_phase_times(rec, a);
+  EXPECT_EQ(rec.phase_seconds("deploy:evaluate"), 2.75);
+  const Json h = rec.histograms_json();
+  ASSERT_NE(h.find("deploy_evaluate_seconds"), nullptr);
+  EXPECT_EQ(h.find("deploy_evaluate_seconds")->find("count")->as_int(), 3);
+}
+
+TEST(DeployStats, ThousandsOfEvaluatesKeepEvalLatencyFixedSize) {
+  // A pooled rdo_serve backend evaluates once per request for its whole
+  // life; its latency record is a value with no heap storage, so it
+  // cannot grow with the number of calls.
+  static_assert(std::is_trivially_copyable_v<rdo::obs::LatencyHistogram>);
+  rdo::data::SyntheticSpec spec = rdo::data::mnist_like();
+  spec.train_per_class = 5;
+  spec.test_per_class = 1;
+  const rdo::data::SyntheticDataset ds = rdo::data::make_synthetic(spec);
+  rdo::nn::Rng rng(3);
+  rdo::nn::Sequential net;
+  net.emplace<rdo::nn::Flatten>();
+  net.emplace<rdo::nn::Dense>(28 * 28, 10, rng);
+  rdo::core::DeployOptions o;
+  o.lut_k_sets = 4;
+  o.lut_j_cycles = 2;
+  const rdo::core::DeploymentPlan plan =
+      rdo::core::compile_plan(net, o, ds.train());
+  rdo::core::EffectiveWeightBackend backend(plan, net);
+  backend.program_cycle(0);
+  constexpr int kCalls = 3000;
+  for (int i = 0; i < kCalls; ++i) (void)backend.evaluate(ds.test());
+  const rdo::obs::LatencyHistogram& lat = backend.stats().eval_latency;
+  EXPECT_EQ(lat.count, kCalls);
+  std::int64_t total = 0;
+  for (const std::int64_t c : lat.buckets) total += c;
+  EXPECT_EQ(total, kCalls);
+  EXPECT_GT(lat.sum_seconds, 0.0);
+  EXPECT_LE(lat.min_seconds, lat.max_seconds);
 }
 
 TEST(Json, NanAndInfinitySerializeAsNull) {

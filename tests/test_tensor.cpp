@@ -144,3 +144,26 @@ TEST(Tensor, NumelHelper) {
   EXPECT_EQ(Tensor::numel({2, 3, 4}), 24);
   EXPECT_EQ(Tensor::numel({7}), 7);
 }
+
+TEST(Rng, NormalWithZeroDeviationReturnsTheMeanExactly) {
+  // An ideal device (sigma = 0) draws with stddev 0, which
+  // std::normal_distribution forbids; Rng::normal scales a standard
+  // draw instead, so the result is exactly the mean.
+  Rng rng(9);
+  for (const double m : {0.0, 1.5, -3.25, 255.0}) {
+    EXPECT_EQ(rng.normal(m, 0.0), m);
+  }
+}
+
+TEST(Rng, NormalDrawsArePinned) {
+  // Golden draws: scaling N(0, 1) must keep every stream bit-identical
+  // to drawing N(mean, stddev) directly.
+  Rng a(42);
+  EXPECT_EQ(a.normal(0.0, 1.0), 0x1.68f438d8aec29p-1);
+  EXPECT_EQ(a.normal(1.5, 0.25), 0x1.5b4207db15507p+0);
+  EXPECT_EQ(a.normal(-3.0, 2.0), -0x1.b40e43efe7981p+2);
+  EXPECT_EQ(a.normal(), -0x1.72c03dadaa429p-1);
+  Rng b(7);
+  EXPECT_EQ(b.normal(0.0, 0.1), 0x1.6574b8822f279p-4);
+  EXPECT_EQ(b.normal(10.0, 3.0), 0x1.748ab0bcb327ap+3);
+}

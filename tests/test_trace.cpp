@@ -5,6 +5,7 @@
 // worker.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include "core/deploy.h"
+#include "core/opt/pipeline.h"
+#include "core/plan.h"
 #include "core/vawo.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
@@ -19,6 +22,7 @@
 #include "nn/parallel.h"
 #include "nn/sequential.h"
 #include "obs/json.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sim/crossbar_executor.h"
 
@@ -51,6 +55,28 @@ std::map<std::string, int> span_counts(const Json& doc) {
   return counts;
 }
 
+/// Busy-wait until the steady clock has visibly advanced, so a span
+/// around it measures a strictly positive duration.
+void spin_a_little() {
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - t0 <
+         std::chrono::microseconds(50)) {
+  }
+}
+
+/// Duration (µs) of the single "X" event named `name`.
+double span_dur_us(const Json& doc, const std::string& name) {
+  const Json* evs = doc.find("traceEvents");
+  for (std::size_t i = 0; i < evs->size(); ++i) {
+    const Json& e = evs->at(i);
+    if (e.find("ph")->as_string() == "X" &&
+        e.find("name")->as_string() == name) {
+      return e.find("dur")->as_double();
+    }
+  }
+  return -1.0;
+}
+
 }  // namespace
 
 TEST(Trace, SpansAreFreeWhenTracingIsOff) {
@@ -62,6 +88,115 @@ TEST(Trace, SpansAreFreeWhenTracingIsOff) {
   span.arg("ignored", 1);  // must be a no-op, not a crash
   rdo::obs::trace_counter("unit_counter", 42);
   EXPECT_EQ(rdo::obs::trace_stop(), "");
+}
+
+TEST(Trace, SunkSpanAddsTimeWhenOffAndEmitsExactlyOneSpanWhenOn) {
+  ASSERT_EQ(rdo::obs::trace_stop(), "");
+  double seconds = 0.0;
+  {
+    rdo::obs::TraceSpan span("unit:sunk", "unit", &seconds);
+    EXPECT_FALSE(span.active());  // times, but records no event
+    spin_a_little();
+  }
+  EXPECT_GE(seconds, 50e-6);
+  EXPECT_EQ(rdo::obs::trace_stop(), "");
+
+  const double off = seconds;
+  const std::string path = temp_trace_path("sunk");
+  rdo::obs::trace_start(path);
+  {
+    rdo::obs::TraceSpan span("unit:sunk", "unit", &seconds);
+    EXPECT_TRUE(span.active());
+    spin_a_little();
+    span.finish();  // ends early: the sink is filled before scope exit
+    EXPECT_GT(seconds, off);
+    EXPECT_FALSE(span.active());
+    span.arg("late", 1);  // ignored after finish()
+    span.finish();        // idempotent; the destructor adds nothing
+  }
+  const double on = seconds - off;
+  ASSERT_EQ(rdo::obs::trace_stop(), path);
+  const Json doc = rdo::obs::read_json_file(path);
+  std::string err;
+  ASSERT_TRUE(rdo::obs::validate_trace_document(doc, &err)) << err;
+  EXPECT_EQ(span_counts(doc)["unit:sunk"], 1);
+  // One clock reading feeds both the event and the sink.
+  EXPECT_NEAR(span_dur_us(doc, "unit:sunk"), on * 1e6, 1e-3);
+  std::filesystem::remove(path);
+}
+
+TEST(Trace, RecorderSpanAddsOnePhaseAndOneSpan) {
+  rdo::obs::Recorder rec;
+  const std::string path = temp_trace_path("recorder");
+  rdo::obs::trace_start(path);
+  {
+    rdo::obs::TraceSpan span("unit:phase", "harness", rec);
+    EXPECT_TRUE(span.active());
+    spin_a_little();
+  }
+  ASSERT_EQ(rdo::obs::trace_stop(), path);
+  const Json phases = rec.phases_json();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases.at(0).find("name")->as_string(), "unit:phase");
+  const double traced = rec.phase_seconds("unit:phase");
+  EXPECT_GE(traced, 50e-6);
+  const Json doc = rdo::obs::read_json_file(path);
+  EXPECT_EQ(span_counts(doc)["unit:phase"], 1);
+  EXPECT_NEAR(span_dur_us(doc, "unit:phase"), traced * 1e6, 1e-3);
+  std::filesystem::remove(path);
+
+  // Tracing off: the phase still accumulates under the same name.
+  {
+    rdo::obs::TraceSpan span("unit:phase", "harness", rec);
+    spin_a_little();
+  }
+  EXPECT_EQ(rec.phases_json().size(), 1u);
+  EXPECT_GT(rec.phase_seconds("unit:phase"), traced);
+}
+
+TEST(Trace, OptimizerPipelineEmitsOneSpanPerPass) {
+  // Pass span names are built at run time ("opt:" + pass name, longer
+  // than the short-string buffer): the span must own its name, or the
+  // event is written from freed memory.
+  nn::Rng rng(11);
+  nn::Sequential net;
+  net.emplace<nn::Dense>(6, 4, rng);
+  nn::Tensor images({12, 6});
+  for (std::int64_t i = 0; i < images.size(); ++i) {
+    images[i] = 0.2f * static_cast<float>(i % 7) - 0.6f;
+  }
+  std::vector<int> labels;
+  for (int i = 0; i < 12; ++i) labels.push_back(i % 4);
+  core::DeployOptions o;
+  o.scheme = core::Scheme::VAWOStar;
+  o.weight_bits = 4;
+  o.offsets.m = 2;
+  o.offsets.offset_bits = 4;
+  o.variation.sigma = 0.5;
+  o.lut_k_sets = 2;
+  o.lut_j_cycles = 2;
+  o.grad_samples = 12;
+  o.seed = 11;
+  core::DeploymentPlan plan = core::compile_plan(net, o, {&images, &labels});
+
+  const std::string path = temp_trace_path("opt");
+  rdo::obs::trace_start(path);
+  core::opt::run_pipeline(plan, core::opt::registered_passes());
+  ASSERT_EQ(rdo::obs::trace_stop(), path);
+
+  const Json doc = rdo::obs::read_json_file(path);
+  std::string err;
+  ASSERT_TRUE(rdo::obs::validate_trace_document(doc, &err)) << err;
+  std::map<std::string, int> expected = {{"opt:pipeline", 1}};
+  for (const std::string& pass : core::opt::registered_passes()) {
+    expected["opt:" + pass] = 1;
+  }
+  std::map<std::string, int> opt_spans;
+  for (const auto& [name, n] : span_counts(doc)) {
+    if (name.rfind("opt:", 0) == 0) opt_spans[name] = n;
+  }
+  EXPECT_EQ(opt_spans, expected);
+  std::filesystem::remove(path);
 }
 
 TEST(Trace, ValidatorCatchesStructuralViolations) {

@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     net->emplace<nn::Dense>(64, 10, rng);
   }
   {
-    obs::PhaseTimer t(rep.recorder(), "train_model");
+    obs::TraceSpan t("train_model", "harness", rep.recorder());
     nn::SGD opt(net->params(), lr, 0.9f, 1e-4f);
     for (int e = 0; e < a.epochs; ++e) {
       nn::train_epoch(*net, opt, ds.train(), 32, rng);
