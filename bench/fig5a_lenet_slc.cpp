@@ -39,7 +39,7 @@ int main() {
 
   // Every (scheme, m, sigma, trial) cell is one independent Monte-Carlo
   // task; run_grid spreads them over RDO_THREADS workers with results
-  // bit-identical to the serial per-cell run_scheme loop.
+  // bit-identical for any thread count.
   std::vector<core::DeployOptions> jobs;
   for (double sigma : sigmas) {
     for (Scheme s : schemes) {
@@ -52,7 +52,7 @@ int main() {
   std::vector<core::SchemeResult> grid;
   {
     obs::TraceSpan t("deployment_sweep", "harness", rep.recorder());
-    grid = run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
+    grid = core::run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

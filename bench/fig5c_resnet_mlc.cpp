@@ -45,7 +45,7 @@ int main() {
   std::vector<core::SchemeResult> grid;
   {
     obs::TraceSpan t("deployment_sweep", "harness", rep.recorder());
-    grid = run_grid(*net, jobs, ds.train(), ds.test(), 2);
+    grid = core::run_grid(*net, jobs, ds.train(), ds.test(), 2);
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

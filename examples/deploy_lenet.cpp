@@ -44,8 +44,7 @@ int main() {
   // once into a shared DeploymentPlan; the programming-cycle trials are
   // Monte-Carlo repeats (each cycle's devices are seeded from
   // Rng::split(trial)) running in parallel on private backend clones of
-  // the trained network — results are bit-identical to the serial
-  // core::run_scheme for any RDO_THREADS.
+  // the trained network — results are bit-identical for any RDO_THREADS.
   std::printf("\ndeploying with %d threads (RDO_THREADS to override)\n",
               nn::thread_count());
   std::printf("\n%-8s %-10s %-12s\n", "sigma", "plain", "VAWO*+PWT");
@@ -62,11 +61,9 @@ int main() {
     full.scheme = core::Scheme::VAWOStarPWT;
 
     const float a_plain =
-        core::run_scheme_parallel(*net, plain, ds.train(), ds.test(), 2)
-            .mean_accuracy;
+        core::run_scheme(*net, plain, ds.train(), ds.test(), 2).mean_accuracy;
     const float a_full =
-        core::run_scheme_parallel(*net, full, ds.train(), ds.test(), 2)
-            .mean_accuracy;
+        core::run_scheme(*net, full, ds.train(), ds.test(), 2).mean_accuracy;
     std::printf("%-8.1f %8.2f%% %10.2f%%\n", sigma, 100 * a_plain,
                 100 * a_full);
   }

@@ -197,7 +197,6 @@ float EffectiveWeightBackend::evaluate(const rdo::nn::DataView& test,
   net_->release_caches();
   span.finish();
   stats_.eval_latency.observe(seconds);
-  stats_.eval_accuracy.push_back(acc);
   return acc;
 }
 

@@ -6,8 +6,8 @@
 // test accuracy of the deployed state. Backends own all mutable state
 // (including a private clone of the network), so the caller's trained
 // network is never modified and independent backends over the same plan
-// never interact — the parallel Monte-Carlo harnesses exploit exactly
-// that.
+// never interact — the Monte-Carlo harness (core::run_grid) exploits
+// exactly that.
 //
 // Both shipped backends (EffectiveWeightBackend here and
 // sim::DeviceSimBackend in src/sim/device_backend.h) emit identical
@@ -41,6 +41,9 @@ class ExecutionBackend {
                          std::int64_t batch = 64) = 0;
   /// Per-phase wall times and deterministic pipeline counters accumulated
   /// since construction (compile-stage times live in the plan, not here).
+  /// eval_accuracy stays empty: per-cycle accuracies are the run_grid
+  /// harness's record, so the stats of a long-lived backend stay
+  /// fixed-size.
   [[nodiscard]] virtual const DeployStats& stats() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };

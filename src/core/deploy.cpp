@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <memory>
+#include <stdexcept>
 
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/plan.h"
 #include "nn/parallel.h"
 #include "obs/stopwatch.h"
@@ -101,64 +104,107 @@ std::optional<Scheme> parse_scheme(std::string_view s) {
   return std::nullopt;
 }
 
-SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
-                        const rdo::nn::DataView& train,
-                        const rdo::nn::DataView& test, int repeats,
-                        std::int64_t eval_batch) {
-  const DeploymentPlan plan = compile_plan(net, opt, train);
-  EffectiveWeightBackend backend(plan, net);
-  SchemeResult res;
-  double total = 0.0;
-  for (int cycle = 0; cycle < repeats; ++cycle) {
-    rdo::obs::Stopwatch watch;
-    backend.program_cycle(static_cast<std::uint64_t>(cycle));
-    backend.tune(train);
-    const float acc = backend.evaluate(test, eval_batch);
-    res.per_cycle.push_back(acc);
-    res.trial_seconds.push_back(watch.seconds());
-    total += acc;
-  }
-  res.mean_accuracy =
-      static_cast<float>(total / std::max(1, repeats));
-  res.stats = plan.compile_stats;
-  res.stats.merge(backend.stats());
-  res.errors.assign(static_cast<std::size_t>(std::max(0, repeats)), "");
-  return res;
+namespace {
+
+// Grain of a run_grid task loop. Tasks fan out over the pool when they
+// fill more than half of its threads: whole trials side by side then beat
+// each trial's pool-wide inner loops, which scale sublinearly. Fewer tasks
+// run one after another on the caller, so their own parallel loops (VAWO
+// compile, PWT, evaluate) keep the whole pool instead of running inline.
+// On 4 threads, 3 trials fanned out take ~0.7x the serial time and 2 tie
+// (EXPERIMENTS.md "Trial harness"). Results are bit-identical either way.
+std::int64_t task_grain(std::int64_t tasks) {
+  return 2 * tasks <= rdo::nn::thread_count() ? tasks : 1;
 }
 
-SchemeResult run_scheme_parallel(const rdo::nn::Layer& net,
-                                 const DeployOptions& opt,
-                                 const rdo::nn::DataView& train,
-                                 const rdo::nn::DataView& test, int repeats,
-                                 std::int64_t eval_batch) {
-  SchemeResult res;
-  if (repeats <= 0) return res;
-  // Compile once; the plan is read-only afterwards and shared by every
-  // trial's backend.
-  const DeploymentPlan plan = compile_plan(net, opt, train);
-  res.per_cycle.assign(static_cast<std::size_t>(repeats), 0.0f);
-  res.trial_seconds.assign(static_cast<std::size_t>(repeats), 0.0);
-  res.errors.assign(static_cast<std::size_t>(repeats), "");
-  std::vector<DeployStats> trial_stats(static_cast<std::size_t>(repeats));
-  rdo::nn::parallel_for(repeats, [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t trial = t0; trial < t1; ++trial) {
-      rdo::obs::Stopwatch watch;
-      EffectiveWeightBackend backend(plan, net);
-      backend.program_cycle(static_cast<std::uint64_t>(trial));
-      backend.tune(train);
-      res.per_cycle[static_cast<std::size_t>(trial)] =
-          backend.evaluate(test, eval_batch);
-      trial_stats[static_cast<std::size_t>(trial)] = backend.stats();
-      res.trial_seconds[static_cast<std::size_t>(trial)] = watch.seconds();
+}  // namespace
+
+std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,
+                                   const std::vector<DeployOptions>& points,
+                                   const rdo::nn::DataView& train,
+                                   const rdo::nn::DataView& test,
+                                   int repeats) {
+  RDO_CHECK(repeats >= 1,
+            "run_grid: repeats = " + std::to_string(repeats) + " < 1");
+  const auto npoints = static_cast<std::int64_t>(points.size());
+  const auto nrep = static_cast<std::size_t>(repeats);
+  std::vector<SchemeResult> results(points.size());
+  for (SchemeResult& r : results) {
+    r.per_cycle.assign(nrep, 0.0f);
+    r.trial_seconds.assign(nrep, 0.0);
+    r.errors.assign(nrep, "");
+  }
+  // Compile every point once; all of the point's trials share the plan.
+  // A throwing compile is recorded into each of that point's trial slots:
+  // one bad point must not discard the rest of the grid.
+  std::vector<std::unique_ptr<DeploymentPlan>> plans(points.size());
+  std::vector<std::string> compile_errors(points.size());
+  rdo::nn::parallel_for(npoints, [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      try {
+        plans[pi] = std::make_unique<DeploymentPlan>(
+            compile_plan(net, points[pi], train));
+      } catch (const std::exception& e) {
+        compile_errors[pi] = e.what();
+      } catch (...) {
+        compile_errors[pi] = "unknown exception";
+      }
     }
-  });
-  // Merge in trial order so the aggregated traces are identical to the
-  // serial run for any thread count.
-  res.stats = plan.compile_stats;
-  for (const DeployStats& s : trial_stats) res.stats.merge(s);
-  double total = 0.0;
-  for (float a : res.per_cycle) total += a;
-  res.mean_accuracy = static_cast<float>(total / repeats);
+  }, task_grain(npoints));
+  // One task per (point, trial): finer than per-point tasks, so a grid
+  // with fewer repeats than cores still fills the pool. A throwing trial
+  // is recorded, not propagated.
+  const std::int64_t ntasks = npoints * repeats;
+  std::vector<DeployStats> trial_stats(points.size() * nrep);
+  rdo::nn::parallel_for(ntasks, [&](std::int64_t t0, std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const auto pi = static_cast<std::size_t>(t / repeats);
+      const auto ti = static_cast<std::size_t>(t % repeats);
+      SchemeResult& r = results[pi];
+      if (plans[pi] == nullptr) {
+        r.errors[ti] = compile_errors[pi];
+        continue;
+      }
+      rdo::obs::Stopwatch watch;
+      try {
+        EffectiveWeightBackend backend(*plans[pi], net);
+        backend.program_cycle(ti);
+        backend.tune(train);
+        r.per_cycle[ti] = backend.evaluate(test);
+        DeployStats& s = trial_stats[static_cast<std::size_t>(t)];
+        s = backend.stats();
+        s.eval_accuracy.push_back(r.per_cycle[ti]);
+      } catch (const std::exception& e) {
+        r.errors[ti] = e.what();
+      } catch (...) {
+        r.errors[ti] = "unknown exception";
+      }
+      r.trial_seconds[ti] = watch.seconds();
+    }
+  }, task_grain(ntasks));
+  // Merge in (compile, trial...) order outside the parallel region so
+  // the aggregated counters and traces are thread-count independent.
+  for (std::size_t pi = 0; pi < results.size(); ++pi) {
+    SchemeResult& r = results[pi];
+    if (plans[pi] != nullptr) r.stats = plans[pi]->compile_stats;
+    double total = 0.0;
+    for (std::size_t ti = 0; ti < nrep; ++ti) {
+      r.stats.merge(trial_stats[pi * nrep + ti]);
+      total += r.per_cycle[ti];
+    }
+    r.mean_accuracy = static_cast<float>(total / repeats);
+  }
+  return results;
+}
+
+SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
+                        const rdo::nn::DataView& train,
+                        const rdo::nn::DataView& test, int repeats) {
+  SchemeResult res = std::move(run_grid(net, {opt}, train, test, repeats)[0]);
+  for (const std::string& e : res.errors) {
+    if (!e.empty()) throw std::runtime_error(e);
+  }
   return res;
 }
 

@@ -144,7 +144,10 @@ struct DeployStats {
   std::int64_t pwt_batches = 0;
   std::int64_t pwt_offset_updates = 0;  ///< nonzero offset moves applied
   std::vector<float> pwt_epoch_loss;    ///< mean train loss per PWT epoch
-  std::vector<float> eval_accuracy;     ///< one entry per evaluate() call
+  /// Per-cycle accuracies, written by the run_grid harness (one entry
+  /// per trial). Backends leave it empty, so a pooled backend's record
+  /// stays fixed-size however many evaluate() calls it serves.
+  std::vector<float> eval_accuracy;
 
   /// Accumulate `other` into this record: times and counters add,
   /// traces append in call order. Used to fold per-trial stats into a
@@ -173,46 +176,45 @@ void add_deploy_cache_counters(rdo::obs::Recorder& rec, const DeployStats& s);
 struct SchemeResult {
   float mean_accuracy = 0.0f;
   std::vector<float> per_cycle;
-  /// Wall time of each program/tune/evaluate cycle (latency samples;
+  /// Wall time of each program/tune/evaluate trial (latency samples;
   /// volatile, slot order matches per_cycle for any thread count).
   std::vector<double> trial_seconds;
   /// Pipeline stats: the shared compile stage folded together with the
-  /// cycles (run_scheme) or with the independent trials in trial order
-  /// (parallel harnesses).
+  /// independent trials in trial order. `eval_accuracy` is the per-cycle
+  /// record: one entry per successful trial, in trial order.
   DeployStats stats;
-  /// One entry per cycle/trial: empty string when the trial succeeded,
-  /// the exception message otherwise (bench::run_grid records failures
-  /// instead of aborting the whole grid).
+  /// One entry per trial: empty string when the trial succeeded, the
+  /// exception message otherwise (run_grid records failures instead of
+  /// aborting the whole grid).
   std::vector<std::string> errors;
-
-  [[nodiscard]] bool failed() const {
-    for (const std::string& e : errors) {
-      if (!e.empty()) return true;
-    }
-    return false;
-  }
 };
 
-/// Convenience harness: compile the plan once, then run `repeats`
-/// program/tune/evaluate cycles with distinct CCV draws on an
-/// EffectiveWeightBackend. `net` is cloned internally and never modified.
+/// The Monte-Carlo trial harness. Each grid point is compiled once into
+/// a DeploymentPlan that its trials share read-only; then every
+/// (point, trial) pair runs as one task over the nn/parallel.h pool
+/// (RDO_THREADS) — or, when the tasks would fill at most half the pool,
+/// one after another so each task's inner loops use the pool — on a fresh
+/// EffectiveWeightBackend over a private clone
+/// of `net` (which is only read). Trial t programs cycle t; each cycle's
+/// devices come from Rng(seed).split(cycle)-derived streams and trials
+/// share no mutable state, so every result is bit-identical for any
+/// thread count. Stats merge in (compile, trial 0, trial 1, ...) order,
+/// with each successful trial's accuracy appended to eval_accuracy.
+///
+/// A throwing compile or trial does not abort the grid: its accuracy
+/// stays 0 and the exception message lands in results[i].errors[trial]
+/// (a compile error in every trial slot of its point). `repeats` must
+/// be >= 1.
+std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,
+                                   const std::vector<DeployOptions>& points,
+                                   const rdo::nn::DataView& train,
+                                   const rdo::nn::DataView& test,
+                                   int repeats);
+
+/// run_grid over the single point `opt`. Rethrows the first recorded
+/// error as std::runtime_error with the same message.
 SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
                         const rdo::nn::DataView& train,
-                        const rdo::nn::DataView& test, int repeats,
-                        std::int64_t eval_batch = 64);
-
-/// Parallel Monte-Carlo variant of run_scheme: the plan is compiled once
-/// and shared read-only; the `repeats` programming cycles are
-/// embarrassingly parallel (each cycle's devices are drawn from
-/// Rng(seed).split(cycle)-derived streams and cycles share no mutable
-/// state), so each trial runs as an independent EffectiveWeightBackend
-/// over its own private clone of `net`. Every per-cycle accuracy is
-/// bit-identical to the serial run_scheme for any thread count
-/// (asserted in tests/test_parallel.cpp).
-SchemeResult run_scheme_parallel(const rdo::nn::Layer& net,
-                                 const DeployOptions& opt,
-                                 const rdo::nn::DataView& train,
-                                 const rdo::nn::DataView& test, int repeats,
-                                 std::int64_t eval_batch = 64);
+                        const rdo::nn::DataView& test, int repeats);
 
 }  // namespace rdo::core

@@ -52,9 +52,7 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
       stages_.push_back(std::move(stage));
       continue;
     }
-    if (l->name() == "Flatten" || l->name() == "Dropout") {
-      continue;  // shape bookkeeping only / identity at inference
-    }
+    if (l->name() == "Flatten") continue;  // shape bookkeeping only
     if (auto* aq = dynamic_cast<rdo::quant::ActQuant*>(l)) {
       stage.kind = Stage::Kind::ActQuant;
       stage.aq = aq;
@@ -297,17 +295,16 @@ float DeviceSimBackend::evaluate(const rdo::nn::DataView& test,
   const float acc = device_accuracy(test, dopt_.eval_max_samples);
   span.arg("accuracy", static_cast<double>(acc));
   span.finish();
-  eval_stats_.eval_latency.observe(seconds);
-  eval_stats_.eval_accuracy.push_back(acc);
+  eval_latency_.observe(seconds);
   return acc;
 }
 
 const rdo::core::DeployStats& DeviceSimBackend::stats() const {
-  // The engine never evaluates (its eval fields stay empty), so the
+  // The engine never evaluates (its eval_latency stays empty), so the
   // merged record carries the engine's programming/PWT counters plus the
-  // device-side evaluation trace.
+  // device-side evaluation latencies.
   merged_ = engine_.stats();
-  merged_.merge(eval_stats_);
+  merged_.eval_latency.merge(eval_latency_);
   return merged_;
 }
 

@@ -1,7 +1,7 @@
 // Device-level execution backend over a compiled DeploymentPlan.
 //
 // Runs a trained network (Sequential of Flatten / Dense / Conv2D / ReLU /
-// MaxPool2D / ActQuant / Dropout — i.e. LeNet-class CNNs and MLPs)
+// MaxPool2D / ActQuant — i.e. LeNet-class CNNs and MLPs)
 // entirely on simulated crossbars: every Dense/Conv2D layer is tiled onto
 // Crossbar arrays and executed via CrossbarLayerExecutor (convolutions
 // are lowered to one VMM per output position, exactly how ISAAC drives
@@ -25,6 +25,7 @@
 
 #include "core/backend.h"
 #include "core/plan.h"
+#include "obs/histogram.h"
 #include "sim/crossbar_executor.h"
 
 namespace rdo::sim {
@@ -95,8 +96,8 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
   const rdo::core::DeploymentPlan& plan_;
   DeviceSimOptions dopt_;
   std::vector<Stage> stages_;
-  rdo::core::DeployStats eval_stats_;   ///< device-side evaluate() record
-  mutable rdo::core::DeployStats merged_;  ///< engine + eval, see stats()
+  rdo::obs::LatencyHistogram eval_latency_;  ///< device-side evaluate()
+  mutable rdo::core::DeployStats merged_;    ///< engine + eval, see stats()
   bool deployed_ = false;
 
   /// Replay the engine's current cell values and offsets onto the

@@ -1,4 +1,4 @@
-// ISAAC tile cost model (Table II) and pipeline latency.
+// ISAAC tile cost model (Table II) and energy model.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -6,7 +6,6 @@
 
 #include "arch/isaac_cost.h"
 #include "arch/energy.h"
-#include "arch/pipeline.h"
 #include "core/offset.h"
 #include "core/opt/pipeline.h"
 #include "core/plan.h"
@@ -183,46 +182,6 @@ TEST(Arch, PlanOverheadPricesKeptRegistersOnly) {
   EXPECT_EQ(a.tiles_used, b.tiles_used);
   EXPECT_THROW(plan_overhead(full, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(plan_overhead({{0, 4, 1}}, 8, 1.0), std::invalid_argument);
-}
-
-TEST(Pipeline, ReadCyclesFollowGeometry) {
-  using namespace rdo::arch;
-  PipelineParams pp;  // 128 rows, 16 active, 16-bit inputs
-  const LayerLatency l = layer_latency(128, 16, pp);
-  EXPECT_EQ(l.read_cycles, 8 * 16);
-  EXPECT_TRUE(l.sum_multi_hidden);
-}
-
-TEST(Pipeline, SmallLayerIsFaster) {
-  using namespace rdo::arch;
-  const LayerLatency small = layer_latency(16, 16);
-  const LayerLatency big = layer_latency(128, 16);
-  EXPECT_LT(small.read_cycles, big.read_cycles);
-  EXPECT_GT(small.vmm_per_second, big.vmm_per_second);
-}
-
-TEST(Pipeline, RowTilesDoNotIncreaseLatency) {
-  using namespace rdo::arch;
-  // Row tiles execute in parallel crossbars.
-  EXPECT_EQ(layer_latency(128, 16).read_cycles,
-            layer_latency(512, 16).read_cycles);
-}
-
-TEST(Pipeline, SumMultiHiddenAtPaperClock) {
-  using namespace rdo::arch;
-  for (int m : {16, 64, 128}) {
-    EXPECT_TRUE(layer_latency(128, m).sum_multi_hidden) << m;
-  }
-}
-
-TEST(Pipeline, SlowClockExposesSumMulti) {
-  using namespace rdo::arch;
-  PipelineParams pp;
-  pp.clock_ns = 5.0;  // faster than the Sum+Multi critical path
-  const LayerLatency l = layer_latency(128, 128, pp);
-  EXPECT_FALSE(l.sum_multi_hidden);
-  EXPECT_GT(l.latency_ns,
-            static_cast<double>(l.read_cycles) * pp.clock_ns);
 }
 
 TEST(Energy, ComponentsArePositiveAndSum) {

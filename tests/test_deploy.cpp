@@ -3,6 +3,10 @@
 // EffectiveWeightBackend execution stage.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/backend.h"
 #include "core/deploy.h"
 #include "core/plan.h"
@@ -230,6 +234,46 @@ TEST(Deploy, DeterministicGivenSeed) {
   const SchemeResult a = run_scheme(f.net, o, f.ds.train(), f.ds.test(), 1);
   const SchemeResult b = run_scheme(f.net, o, f.ds.train(), f.ds.test(), 1);
   EXPECT_FLOAT_EQ(a.mean_accuracy, b.mean_accuracy);
+}
+
+TEST(Deploy, RunGridRecordsABadPointAndRunsTheRest) {
+  // One point whose compile throws (an invalid OffsetConfig) must not
+  // discard the other: its message lands in every one of its trial
+  // slots, and the good point matches a lone run_scheme exactly.
+  auto& f = fixture();
+  DeployOptions bad = f.base_options(Scheme::VAWOStar, 0.5);
+  bad.offsets.offset_bits = 0;
+  const DeployOptions good = f.base_options(Scheme::VAWOStarPWT, 0.5);
+  const int repeats = 2;
+  const std::vector<SchemeResult> grid =
+      run_grid(f.net, {bad, good}, f.ds.train(), f.ds.test(), repeats);
+  ASSERT_EQ(grid.size(), 2u);
+
+  std::string message;
+  try {
+    (void)compile_plan(f.net, bad, f.ds.train());
+  } catch (const std::exception& e) {
+    message = e.what();
+  }
+  ASSERT_NE(message.find("offset_bits = 0"), std::string::npos) << message;
+  ASSERT_EQ(grid[0].errors.size(), static_cast<std::size_t>(repeats));
+  for (const std::string& e : grid[0].errors) EXPECT_EQ(e, message);
+  EXPECT_TRUE(grid[0].stats.eval_accuracy.empty());
+  try {
+    (void)run_scheme(f.net, bad, f.ds.train(), f.ds.test(), repeats);
+    ADD_FAILURE() << "run_scheme accepted an invalid OffsetConfig";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+
+  const SchemeResult lone =
+      run_scheme(f.net, good, f.ds.train(), f.ds.test(), repeats);
+  EXPECT_EQ(grid[1].errors, std::vector<std::string>(repeats, ""));
+  EXPECT_EQ(grid[1].per_cycle, lone.per_cycle);
+  EXPECT_EQ(grid[1].mean_accuracy, lone.mean_accuracy);
+  EXPECT_EQ(grid[1].stats.eval_accuracy, lone.per_cycle);
+  EXPECT_EQ(deploy_stats_json(grid[1].stats).dump(),
+            deploy_stats_json(lone.stats).dump());
 }
 
 TEST(Deploy, PureDdvMakesCyclesIdentical) {

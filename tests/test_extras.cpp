@@ -1,4 +1,4 @@
-// Dropout, RLut persistence, and the risk analysis module.
+// RLut persistence and the risk analysis module.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 #include "data/synthetic.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "quant/act_quant.h"
@@ -15,62 +14,6 @@
 
 using namespace rdo;
 using rdo::nn::Rng;
-using rdo::nn::Tensor;
-
-// ---------------------------------------------------------------- Dropout
-
-TEST(Dropout, EvalModeIsIdentity) {
-  nn::Dropout d(0.5f, 1);
-  Tensor x({100});
-  x.fill(2.0f);
-  Tensor y = d.forward(x, /*train=*/false);
-  for (std::int64_t i = 0; i < 100; ++i) EXPECT_FLOAT_EQ(y[i], 2.0f);
-}
-
-TEST(Dropout, TrainModeDropsAndRescales) {
-  nn::Dropout d(0.5f, 2);
-  Tensor x({10000});
-  x.fill(1.0f);
-  Tensor y = d.forward(x, true);
-  int dropped = 0;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) {
-      ++dropped;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1 / (1 - 0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(dropped) / 10000.0, 0.5, 0.03);
-  // Inverted dropout keeps the expectation.
-  EXPECT_NEAR(y.sum() / 10000.0, 1.0, 0.05);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  nn::Dropout d(0.5f, 3);
-  Tensor x({1000});
-  x.fill(1.0f);
-  Tensor y = d.forward(x, true);
-  Tensor g({1000});
-  g.fill(1.0f);
-  Tensor gi = d.backward(g);
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    EXPECT_FLOAT_EQ(gi[i], y[i]);  // same mask, same scale
-  }
-}
-
-TEST(Dropout, ZeroProbabilityIsIdentityInTraining) {
-  nn::Dropout d(0.0f, 4);
-  Tensor x({10});
-  x.fill(3.0f);
-  Tensor y = d.forward(x, true);
-  EXPECT_FLOAT_EQ(y.sum(), 30.0f);
-}
-
-TEST(Dropout, RejectsBadProbability) {
-  nn::Dropout d(1.0f, 5);
-  Tensor x({2});
-  EXPECT_THROW(d.forward(x, true), std::invalid_argument);
-}
 
 // ------------------------------------------------------- RLut persistence
 

@@ -30,6 +30,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "quant/act_quant.h"
+#include "sim/device_backend.h"
 
 using rdo::obs::Json;
 
@@ -254,8 +255,8 @@ std::string deterministic_report(int threads) {
   o.pwt.max_samples = 64;
   o.seed = 7;
 
-  const rdo::core::SchemeResult res = rdo::core::run_scheme_parallel(
-      net, o, ds.train(), ds.test(), /*repeats=*/3);
+  const rdo::core::SchemeResult res =
+      rdo::core::run_scheme(net, o, ds.train(), ds.test(), /*repeats=*/3);
 
   rdo::obs::BenchReport rep("determinism_probe", o.seed);
   rep.results()["stats"] = rdo::core::deploy_stats_json(res.stats);
@@ -350,6 +351,32 @@ TEST(DeployStats, ThousandsOfEvaluatesKeepEvalLatencyFixedSize) {
   EXPECT_EQ(total, kCalls);
   EXPECT_GT(lat.sum_seconds, 0.0);
   EXPECT_LE(lat.min_seconds, lat.max_seconds);
+  // Per-cycle accuracies belong to the run_grid harness, not the backend.
+  EXPECT_TRUE(backend.stats().eval_accuracy.empty());
+}
+
+TEST(DeployStats, DeviceSimEvaluatesKeepNoAccuracyTrace) {
+  rdo::data::SyntheticSpec spec = rdo::data::mnist_like();
+  spec.train_per_class = 5;
+  spec.test_per_class = 2;
+  const rdo::data::SyntheticDataset ds = rdo::data::make_synthetic(spec);
+  rdo::nn::Rng rng(3);
+  rdo::nn::Sequential net;
+  net.emplace<rdo::nn::Flatten>();
+  net.emplace<rdo::nn::Dense>(28 * 28, 10, rng);
+  rdo::core::DeployOptions o;
+  o.lut_k_sets = 4;
+  o.lut_j_cycles = 2;
+  const rdo::core::DeploymentPlan plan =
+      rdo::core::compile_plan(net, o, ds.train());
+  rdo::sim::DeviceSimOptions d;
+  d.eval_max_samples = 4;
+  rdo::sim::DeviceSimBackend backend(plan, net, d);
+  backend.program_cycle(0);
+  constexpr int kCalls = 5;
+  for (int i = 0; i < kCalls; ++i) (void)backend.evaluate(ds.test());
+  EXPECT_EQ(backend.stats().eval_latency.count, kCalls);
+  EXPECT_TRUE(backend.stats().eval_accuracy.empty());
 }
 
 TEST(Json, NanAndInfinitySerializeAsNull) {

@@ -186,36 +186,40 @@ core::DeployOptions deploy_opts(rram::CellKind cell) {
 
 TEST(Determinism, ParallelTrialsMatchSerialRunSchemeSlcAndMlc) {
   // The headline guarantee: same seed, 1 vs N threads, identical
-  // per-trial deployment accuracies (exact float equality) — for SLC and
-  // MLC2 cells. Each trial's devices are drawn from
-  // Rng(seed).split(trial)-derived streams, never from shared state.
+  // per-trial deployment accuracies (exact float equality) and identical
+  // deterministic stats bytes — for SLC and MLC2 cells. Each trial's
+  // devices are drawn from Rng(seed).split(trial)-derived streams, never
+  // from shared state. At 2 threads the 2 trials run side by side; at 4
+  // they run one after another with pool-wide inner loops.
   auto& f = deploy_fixture();
   const int repeats = 2;
   for (rram::CellKind cell : {rram::CellKind::SLC, rram::CellKind::MLC2}) {
     const core::DeployOptions o = deploy_opts(cell);
-    core::SchemeResult serial, par1, par4;
+    core::SchemeResult serial;
     {
       ThreadGuard guard(1);
       serial = core::run_scheme(f.net, o, f.ds.train(), f.ds.test(), repeats);
-      par1 = core::run_scheme_parallel(f.net, o, f.ds.train(), f.ds.test(),
-                                       repeats);
-    }
-    {
-      ThreadGuard guard(4);
-      par4 = core::run_scheme_parallel(f.net, o, f.ds.train(), f.ds.test(),
-                                       repeats);
     }
     ASSERT_EQ(serial.per_cycle.size(), static_cast<std::size_t>(repeats));
-    ASSERT_EQ(par1.per_cycle.size(), static_cast<std::size_t>(repeats));
-    ASSERT_EQ(par4.per_cycle.size(), static_cast<std::size_t>(repeats));
-    for (int t = 0; t < repeats; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      EXPECT_EQ(serial.per_cycle[i], par1.per_cycle[i])
-          << "trial " << t << " (1 thread) diverged from serial";
-      EXPECT_EQ(serial.per_cycle[i], par4.per_cycle[i])
-          << "trial " << t << " (4 threads) diverged from serial";
+    EXPECT_EQ(serial.stats.eval_accuracy, serial.per_cycle);
+    for (int threads : {2, 4}) {
+      core::SchemeResult par;
+      {
+        ThreadGuard guard(threads);
+        par = core::run_scheme(f.net, o, f.ds.train(), f.ds.test(), repeats);
+      }
+      ASSERT_EQ(par.per_cycle.size(), static_cast<std::size_t>(repeats));
+      for (int t = 0; t < repeats; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        EXPECT_EQ(serial.per_cycle[i], par.per_cycle[i])
+            << "trial " << t << " (" << threads
+            << " threads) diverged from 1 thread";
+      }
+      EXPECT_EQ(serial.mean_accuracy, par.mean_accuracy);
+      EXPECT_EQ(core::deploy_stats_json(serial.stats).dump(),
+                core::deploy_stats_json(par.stats).dump())
+          << threads << " threads";
     }
-    EXPECT_EQ(serial.mean_accuracy, par4.mean_accuracy);
   }
 }
 

@@ -4,8 +4,10 @@
 #include <cmath>
 
 #include "core/vawo.h"
+#include "vawo_reference.h"
 
 using namespace rdo::core;
+using rdo::core::reference::vawo_solve_group;
 using namespace rdo::rram;
 using rdo::nn::Rng;
 
@@ -217,40 +219,37 @@ TEST(Vawo, HighGradientWeightGetsLowerVarianceChoice) {
 }
 
 TEST(Vawo, RejectsEmptyOrMismatchedGroup) {
+  // The shipped (table) solver checks the group shape itself.
   const RLut lut = lut_for(0.5);
-  VawoOptions opt;
+  const VawoOptions opt;
+  const auto table = VawoTable::build(lut, 255, opt.offsets, opt.penalize_bias);
   int b;
   bool comp;
   std::vector<int> ctw;
-  EXPECT_THROW(vawo_solve_group({}, {}, lut, 255, opt, b, comp, ctw),
+  EXPECT_THROW(rdo::core::vawo_solve_group({}, {}, table, false, b, comp, ctw),
                std::invalid_argument);
   EXPECT_THROW(
-      vawo_solve_group({1, 2}, {1.0}, lut, 255, opt, b, comp, ctw),
+      rdo::core::vawo_solve_group({1, 2}, {1.0}, table, false, b, comp, ctw),
       std::invalid_argument);
 }
 
 TEST(Vawo, RejectsHostileOffsetConfig) {
   // offset_bits = 0 would shift by -1 (UB) and enumerate nothing, leaving
   // the out-parameters uninitialized; >= 31 overflows the register range.
-  // Both must fail loudly at the solver boundary, never solve silently.
+  // Both must fail loudly before any group is solved, never silently.
   const RLut lut = lut_for(0.5);
-  int b;
-  bool comp;
-  std::vector<int> ctw;
+  const auto lq = make_lq(4, 1, {1, 2, 3, 4});
+  std::vector<double> grads(4, 1.0);
   for (int bits : {0, -3, 31, 64}) {
     VawoOptions opt;
     opt.offsets.offset_bits = bits;
-    EXPECT_THROW(
-        vawo_solve_group({10, 20}, {1.0, 1.0}, lut, 255, opt, b, comp, ctw),
-        rdo::core::ContractViolation)
-        << "offset_bits = " << bits;
     EXPECT_THROW(rdo::core::VawoTable::build(lut, 255, opt.offsets,
                                              opt.penalize_bias),
                  rdo::core::ContractViolation)
         << "offset_bits = " << bits;
+    EXPECT_THROW(vawo_layer(lq, grads, lut, opt), rdo::core::ContractViolation)
+        << "offset_bits = " << bits;
   }
-  const auto lq = make_lq(4, 1, {1, 2, 3, 4});
-  std::vector<double> grads(4, 1.0);
   VawoOptions bad_m;
   bad_m.offsets.m = 0;
   EXPECT_THROW(vawo_layer(lq, grads, lut, bad_m),
@@ -263,10 +262,11 @@ TEST(Vawo, SolveAlwaysWritesOutParameters) {
   const RLut lut = lut_for(0.5);
   VawoOptions opt;
   opt.offsets.offset_bits = 1;  // smallest legal register: b in {-1, 0}
+  const auto table = VawoTable::build(lut, 255, opt.offsets, opt.penalize_bias);
   int b = -999;
   bool comp = true;
   std::vector<int> ctw;
-  vawo_solve_group({5, 6}, {1.0, 1.0}, lut, 255, opt, b, comp, ctw);
+  rdo::core::vawo_solve_group({5, 6}, {1.0, 1.0}, table, false, b, comp, ctw);
   EXPECT_GE(b, -1);
   EXPECT_LE(b, 0);
   EXPECT_FALSE(comp);  // complement disabled

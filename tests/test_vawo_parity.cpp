@@ -1,6 +1,6 @@
 // Fast-vs-reference VAWO parity: the table engine must reproduce the
-// literal per-candidate enumeration (core/vawo.cpp group_objective) BIT
-// FOR BIT — objective, chosen offset, complement flag and CTWs, including
+// literal per-candidate enumeration (tests/vawo_reference.h) BIT FOR
+// BIT — objective, chosen offset, complement flag and CTWs, including
 // tie-breaking — across cell kinds, both objective formulations, ragged
 // group sizes and targets outside the representable mean range (the
 // invert_mean clamp paths). This is what lets deployment plans stay
@@ -11,8 +11,10 @@
 
 #include "core/check.h"
 #include "core/vawo.h"
+#include "vawo_reference.h"
 
 using namespace rdo::core;
+using rdo::core::reference::vawo_solve_group;
 using namespace rdo::rram;
 using rdo::nn::Rng;
 
@@ -175,9 +177,7 @@ TEST(VawoParity, LayerEnginesProduceIdenticalResults) {
     opt.use_complement = cfg.use_complement;
     opt.penalize_bias = cfg.penalize_bias;
 
-    opt.engine = VawoEngine::kReference;
-    const VawoResult ref = vawo_layer(lq, grads, lut, opt);
-    opt.engine = VawoEngine::kTable;
+    const VawoResult ref = reference::vawo_layer(lq, grads, lut, opt);
     const VawoResult fast = vawo_layer(lq, grads, lut, opt);
     // And through a caller-shared table (the compile_plan path).
     const VawoTable table = VawoTable::build(lut, lq.levels(), opt.offsets,
