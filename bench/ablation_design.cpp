@@ -51,7 +51,7 @@ struct Fixture {
   float run(obs::BenchReport& rep, const std::string& label,
             core::DeployOptions o) {
     try {
-      obs::TraceSpan t("ablation_sweep", "harness", rep.recorder());
+      obs::TraceSpan t("ablation_sweep", "harness", rep.metrics());
       const auto res =
           core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
       record_scheme_result(rep, label, o, res);
@@ -70,7 +70,7 @@ int main() {
 
   std::unique_ptr<Fixture> f;
   {
-    obs::TraceSpan t("train_models", "harness", rep.recorder());
+    obs::TraceSpan t("train_models", "harness", rep.metrics());
     f = std::make_unique<Fixture>();
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(f->ideal);

@@ -58,7 +58,7 @@ std::unique_ptr<rdo::nn::Sequential> blank_vgg();
 
 /// Append one grid-point result to rep.results()["grid"] (config,
 /// per-cycle accuracies, deterministic pipeline counters, per-trial
-/// errors), fold its wall times into the recorder's "deploy:*" phases,
+/// errors), fold its wall times into the report's "deploy:*" phases,
 /// aggregate global counters, and register any failed trials so the
 /// harness exits nonzero. Call in grid order — the JSON is positional.
 void record_scheme_result(rdo::obs::BenchReport& rep,

@@ -24,7 +24,7 @@ int main() {
   float ideal = 0.0f;
   std::unique_ptr<nn::Sequential> net;
   {
-    obs::TraceSpan t("train_models", "harness", rep.recorder());
+    obs::TraceSpan t("train_models", "harness", rep.metrics());
     net = cached_lenet(ds, &ideal);
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(ideal);
@@ -51,7 +51,7 @@ int main() {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<core::SchemeResult> grid;
   {
-    obs::TraceSpan t("deployment_sweep", "harness", rep.recorder());
+    obs::TraceSpan t("deployment_sweep", "harness", rep.metrics());
     grid = core::run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
   }
   const double secs =

@@ -61,7 +61,7 @@ struct Fixture {
   float run(obs::BenchReport& rep, const std::string& label,
             core::DeployOptions o) {
     try {
-      obs::TraceSpan t("parity_sweep", "harness", rep.recorder());
+      obs::TraceSpan t("parity_sweep", "harness", rep.metrics());
       const auto res =
           core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
       record_scheme_result(rep, label, o, res);
@@ -115,7 +115,7 @@ int main() {
 
   std::unique_ptr<Fixture> f;
   {
-    obs::TraceSpan t("train_models", "harness", rep.recorder());
+    obs::TraceSpan t("train_models", "harness", rep.metrics());
     f = std::make_unique<Fixture>();
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(f->ideal);
@@ -165,7 +165,7 @@ int main() {
   const auto base_opt =
       bench_options(Scheme::VAWOStar, 16, rram::CellKind::SLC, 0.5);
   const core::DeploymentPlan base = [&] {
-    obs::TraceSpan t("compile_base_plan", "harness", rep.recorder());
+    obs::TraceSpan t("compile_base_plan", "harness", rep.metrics());
     return core::compile_plan(f->net, base_opt, f->ds.train());
   }();
   const PlanCost c0 = plan_cost(base, base_opt.offsets.offset_bits);
@@ -188,7 +188,7 @@ int main() {
                                               static_cast<long>(n));
     core::DeploymentPlan p = base;
     {
-      obs::TraceSpan t("run_pass_prefix", "harness", rep.recorder());
+      obs::TraceSpan t("run_pass_prefix", "harness", rep.metrics());
       core::opt::run_pipeline(p, prefix);
     }
     const PlanCost c = plan_cost(p, base_opt.offsets.offset_bits);

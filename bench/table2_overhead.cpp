@@ -24,7 +24,7 @@ int main() {
   const data::SyntheticDataset cifar = bench_cifar();
   std::unique_ptr<nn::Sequential> resnet;
   {
-    obs::TraceSpan t("train_models", "harness", rep.recorder());
+    obs::TraceSpan t("train_models", "harness", rep.metrics());
     resnet = cached_resnet(cifar, nullptr);
   }
 
@@ -37,7 +37,7 @@ int main() {
   for (int m : {16, 128}) {
     const std::string tag = "m" + std::to_string(m);
     try {
-      obs::TraceSpan t("overhead_analysis", "harness", rep.recorder());
+      obs::TraceSpan t("overhead_analysis", "harness", rep.metrics());
       auto o = bench_options(core::Scheme::VAWOStar, m, rram::CellKind::MLC2,
                              0.5);
       const core::DeploymentPlan plan =

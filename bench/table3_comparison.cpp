@@ -25,7 +25,7 @@ int main() {
   float dva_ideal = 0.0f;
   std::unique_ptr<nn::Sequential> vgg, vgg_dva;
   {
-    obs::TraceSpan t("train_models", "harness", rep.recorder());
+    obs::TraceSpan t("train_models", "harness", rep.metrics());
     vgg = cached_vgg(ds, &ideal);
     vgg_dva = cached_dva_vgg(ds, &dva_ideal);
   }
@@ -51,7 +51,7 @@ int main() {
 
     const auto guard = [&](const char* method, auto&& body) {
       try {
-        obs::TraceSpan t("method_comparison", "harness", rep.recorder());
+        obs::TraceSpan t("method_comparison", "harness", rep.metrics());
         body();
       } catch (const std::exception& e) {
         rep.add_failure(sig + std::string(method), e.what());

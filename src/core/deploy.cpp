@@ -55,29 +55,14 @@ rdo::obs::Json deploy_stats_json(const DeployStats& s) {
   return j;
 }
 
-void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s) {
-  rec.add_phase("deploy:lut_build", s.lut_build_s);
-  rec.add_phase("deploy:prepare", s.prepare_s);
-  rec.add_phase("deploy:vawo_solve", s.vawo_solve_s);
-  rec.add_phase("deploy:program", s.program_s);
-  rec.add_phase("deploy:tune", s.tune_s);
-  rec.add_phase("deploy:evaluate", s.eval_latency.sum_seconds);
-  rec.merge_histogram("deploy_evaluate_seconds", s.eval_latency);
-}
-
-void add_deploy_cache_counters(rdo::obs::Recorder& rec,
-                               const DeployStats& s) {
-  if (s.lut_cache_hits == 0 && s.lut_cache_misses == 0 &&
-      s.lut_cache_save_failures == 0 && s.plan_cache_hits == 0 &&
-      s.plan_cache_misses == 0 && s.plan_cache_save_failures == 0) {
-    return;  // no cache configured: keep baseline counter sets unchanged
-  }
-  rec.incr("lut_cache_hits", s.lut_cache_hits);
-  rec.incr("lut_cache_misses", s.lut_cache_misses);
-  rec.incr("lut_cache_save_failures", s.lut_cache_save_failures);
-  rec.incr("plan_cache_hits", s.plan_cache_hits);
-  rec.incr("plan_cache_misses", s.plan_cache_misses);
-  rec.incr("plan_cache_save_failures", s.plan_cache_save_failures);
+void add_deploy_phase_times(rdo::obs::MetricsRegistry& metrics,
+                            const DeployStats& s) {
+  metrics.histogram("deploy:lut_build").observe(s.lut_build_s);
+  metrics.histogram("deploy:prepare").observe(s.prepare_s);
+  metrics.histogram("deploy:vawo_solve").observe(s.vawo_solve_s);
+  metrics.histogram("deploy:program").observe(s.program_s);
+  metrics.histogram("deploy:tune").observe(s.tune_s);
+  metrics.histogram("deploy:evaluate").merge(s.eval_latency);
 }
 
 const char* to_string(Scheme s) {

@@ -26,7 +26,7 @@
 #include "nn/trainer.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
 #include "rram/cell.h"
 #include "rram/faults.h"
 #include "rram/variation.h"
@@ -126,9 +126,8 @@ struct DeployStats {
   // (RDO_LUT_CACHE_DIR, RDO_PLAN_CACHE_DIR). They depend on the on-disk
   // cache state, not on the seeded computation, so they belong to the
   // volatile half: excluded from deploy_stats_json() and from the
-  // deterministic BENCH sections. Surface them with
-  // add_deploy_cache_counters() where a shared-cache sweep wants to see
-  // cache effectiveness.
+  // deterministic BENCH sections. Reports see them as the
+  // deploy_*_cache_* counters of global_metrics() (core/plan.cpp).
   std::int64_t lut_cache_hits = 0;
   std::int64_t lut_cache_misses = 0;
   std::int64_t lut_cache_save_failures = 0;
@@ -160,17 +159,11 @@ struct DeployStats {
 /// result can live in the deterministic `results` section).
 [[nodiscard]] rdo::obs::Json deploy_stats_json(const DeployStats& s);
 
-/// Fold the volatile wall times into a Recorder's phase table under
-/// "deploy:*" names (aggregates across calls), and the evaluate()
-/// latencies into its "deploy_evaluate_seconds" histogram.
-void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s);
-
-/// Surface the cache-effectiveness counters (lut_cache_* / plan_cache_*)
-/// as Recorder counters. No-op when every counter is zero — a run
-/// without RDO_LUT_CACHE_DIR / RDO_PLAN_CACHE_DIR configured emits no
-/// cache counters at all, so committed BENCH baselines produced without
-/// caches stay byte-identical.
-void add_deploy_cache_counters(rdo::obs::Recorder& rec, const DeployStats& s);
+/// Fold the volatile wall times into the registry's "deploy:*" phase
+/// histograms: one sample per call for each *_s sum, and the evaluate()
+/// latencies merged whole into "deploy:evaluate".
+void add_deploy_phase_times(rdo::obs::MetricsRegistry& metrics,
+                            const DeployStats& s);
 
 /// Result of running one scheme over several programming cycles.
 struct SchemeResult {

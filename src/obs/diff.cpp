@@ -41,14 +41,15 @@ struct Differ {
   }
 
   void tolerated(const std::string& path, double base, double cur) {
+    ++out.tolerated;
     out.infos.push_back(path + ": " + Json(base).dump() + " -> " +
                         Json(cur).dump() + " (within tolerance)");
   }
 
   /// Deep compare under gauge/result tolerances. Numbers are compared
   /// as doubles (Int promotes); everything else must match exactly,
-  /// including container shape and object member order — the writer is
-  /// deterministic, so order drift means the producing code changed.
+  /// including array order and the set of object members. Object
+  /// members are matched by key, so their order may differ.
   void compare_value(const std::string& path, const Json& base,
                      const Json& cur) {
     if (base.is_number() && cur.is_number()) {

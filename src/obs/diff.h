@@ -11,6 +11,7 @@
 // summarized informationally and never fail the diff.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,9 @@ struct DiffReport {
   std::vector<std::string> regressions;
   /// Informational lines: volatile-section deltas, tolerated drift.
   std::vector<std::string> infos;
+  /// Deterministic numeric leaves that differ but were accepted within
+  /// tolerance (each also has an infos line).
+  std::size_t tolerated = 0;
 
   [[nodiscard]] bool ok() const { return regressions.empty(); }
 };

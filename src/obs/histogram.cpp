@@ -17,10 +17,6 @@ double latency_bucket_midpoint_seconds(int i) {
   return std::exp2(i + 0.5) * 1e-6;
 }
 
-double latency_bucket_upper_seconds(int i) {
-  return std::exp2(i + 1) * 1e-6;
-}
-
 void LatencyHistogram::observe(double seconds) {
   if (count == 0) {
     min_seconds = seconds;

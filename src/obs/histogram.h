@@ -1,11 +1,11 @@
 // The one latency histogram type: a plain value holding count, sum,
 // min, max and fixed log2-microsecond buckets.
 //
-// Every latency distribution in the repo uses it — Recorder histograms
-// (the BENCH `histograms` section), MetricsRegistry histogram snapshots
-// (the serve `stats` response, Prometheus text) and
-// DeployStats::eval_latency — so any two of them merge losslessly.
-// Standard library + obs::Json only; lives in rdo_obs_base.
+// Every latency distribution in the repo uses it — MetricsRegistry
+// histogram snapshots (the BENCH `histograms` and `timing` sections,
+// the serve `stats` response) and DeployStats::eval_latency — so any two
+// of them merge losslessly. Standard library + obs::Json only; lives in
+// rdo_obs_base.
 #pragma once
 
 #include <array>
@@ -26,9 +26,6 @@ inline constexpr int kLatencyBuckets = 28;
 int latency_bucket_index(double seconds);
 /// Seconds at the geometric midpoint of bucket i.
 double latency_bucket_midpoint_seconds(int i);
-/// Upper bound of bucket i in seconds (2^(i+1) µs) — the Prometheus
-/// `le` label.
-double latency_bucket_upper_seconds(int i);
 
 struct LatencyHistogram {
   std::int64_t count = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -35,22 +34,39 @@ void update_extreme(std::atomic<double>& slot, double sample, Cmp better) {
 
 }  // namespace
 
+void Histogram::Shard::add_sum(double seconds) noexcept {
+  const double ns = seconds * 1e9;
+  if (!std::isfinite(ns)) return;
+  // Clamp before converting: a single absurd sample must not be UB.
+  // Rounding (not truncation) lets a merged snapshot sum, itself whole
+  // nanoseconds, land back on the same count of nanoseconds.
+  sum_ns.fetch_add(std::llround(std::clamp(ns, -9.0e18, 9.0e18)),
+                   std::memory_order_relaxed);
+}
+
+void Histogram::widen(double lo, double hi) noexcept {
+  update_extreme(min_seconds_, lo, [](double a, double b) { return a < b; });
+  update_extreme(max_seconds_, hi, [](double a, double b) { return a > b; });
+}
+
 void Histogram::observe(double seconds) noexcept {
   Shard& s = shards_[metrics_internal::thread_shard()];
   s.buckets[static_cast<std::size_t>(latency_bucket_index(seconds))]
       .fetch_add(1, std::memory_order_relaxed);
-  const double ns = seconds * 1e9;
-  if (std::isfinite(ns)) {
-    // Clamp before the cast: a single absurd sample must not be UB.
-    const double clamped =
-        std::clamp(ns, -9.0e18, 9.0e18);
-    s.sum_ns.fetch_add(static_cast<std::int64_t>(clamped),
-                       std::memory_order_relaxed);
+  s.add_sum(seconds);
+  widen(seconds, seconds);
+}
+
+void Histogram::merge(const LatencyHistogram& h) noexcept {
+  if (h.count <= 0) return;
+  Shard& s = shards_[metrics_internal::thread_shard()];
+  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+    if (h.buckets[i] != 0) {
+      s.buckets[i].fetch_add(h.buckets[i], std::memory_order_relaxed);
+    }
   }
-  update_extreme(min_seconds_, seconds,
-                 [](double a, double b) { return a < b; });
-  update_extreme(max_seconds_, seconds,
-                 [](double a, double b) { return a > b; });
+  s.add_sum(h.sum_seconds);
+  widen(h.min_seconds, h.max_seconds);
 }
 
 LatencyHistogram Histogram::snapshot() const noexcept {
@@ -143,56 +159,13 @@ Json MetricsRegistry::snapshot_json() const {
   return doc;
 }
 
-namespace {
-
-/// Prometheus metric name: "rdo_" namespace + the registry name with
-/// every character outside [A-Za-z0-9_] replaced by '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "rdo_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string prom_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::prometheus_text() const {
-  const MetricsSnapshot snap = snapshot();
-  std::string out;
-  for (const auto& [name, v] : snap.counters) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " counter\n";
-    out += p + ' ' + std::to_string(v) + '\n';
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " gauge\n";
-    out += p + ' ' + prom_double(v) + '\n';
-  }
+void MetricsRegistry::merge(const MetricsRegistry& other) {
+  const MetricsSnapshot snap = other.snapshot();
+  for (const auto& [name, v] : snap.counters) counter(name).add(v);
+  for (const auto& [name, v] : snap.gauges) gauge(name).set(v);
   for (const auto& [name, h] : snap.histograms) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " histogram\n";
-    std::int64_t cumulative = 0;
-    for (int i = 0; i < kLatencyBuckets; ++i) {
-      cumulative += h.buckets[static_cast<std::size_t>(i)];
-      out += p + "_bucket{le=\"" +
-             prom_double(latency_bucket_upper_seconds(i)) + "\"} " +
-             std::to_string(cumulative) + '\n';
-    }
-    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + '\n';
-    out += p + "_sum " + prom_double(h.sum_seconds) + '\n';
-    out += p + "_count " + std::to_string(h.count) + '\n';
+    if (h.count > 0) histogram(name).merge(h);
   }
-  return out;
 }
 
 MetricsRegistry& global_metrics() {
@@ -201,13 +174,6 @@ MetricsRegistry& global_metrics() {
   // time.
   static MetricsRegistry* g = new MetricsRegistry();
   return *g;
-}
-
-void absorb_metrics(Recorder& rec, const MetricsRegistry& registry) {
-  const MetricsSnapshot snap = registry.snapshot();
-  for (const auto& [name, v] : snap.counters) rec.incr(name, v);
-  for (const auto& [name, v] : snap.gauges) rec.set_gauge(name, v);
-  for (const auto& [name, h] : snap.histograms) rec.merge_histogram(name, h);
 }
 
 namespace {

@@ -1,12 +1,11 @@
-// Live operational metrics: a registry of named counters, gauges and
+// The one telemetry store: a registry of named counters, gauges and
 // latency histograms that can be read *while the process runs*.
 //
-// The Recorder (obs/recorder.h) answers "what happened over this run"
-// at report time; it is mutex-per-operation and serialized once, at the
-// end. Long-running processes — rdo_serve, overnight fault/drift
-// campaigns — additionally need instruments that are cheap enough to
-// sit on the request hot path and can be snapshotted at any moment for
-// a live `stats` request or a periodic dump. That is this registry:
+// Every number a run reports lives here. rdo_serve's instruments sit on
+// the request hot path and are snapshotted live for a `stats` request or
+// a periodic dump; a BenchReport (obs/report.h) owns one registry and
+// builds its BENCH document from a snapshot at the end of the run, with
+// harness phases as histograms filled by TraceSpan (obs/trace.h).
 //
 //   * Counter    monotonic int64; add() lands in one of kMetricShards
 //                cache-line-padded relaxed atomics chosen per thread,
@@ -14,24 +13,20 @@
 //   * Gauge      last-write-wins double (atomic store/load).
 //   * Histogram  sharded atomic log2-microsecond buckets plus a sum
 //                track; snapshot() returns the shared LatencyHistogram
-//                (obs/histogram.h), so a registry histogram can be
-//                absorbed into a BENCH document without resampling.
+//                (obs/histogram.h) and merge() folds one in, so
+//                histograms move between registries without resampling.
 //
 // Instruments are created on first use and never destroyed, so a
 // resolved Counter& stays valid for the registry's lifetime — resolve
 // once, then add() with no lock. snapshot() walks every instrument in
 // name order under the registration lock, giving one stable, sorted
-// view; exports are a deterministic function of the snapshot (JSON via
-// obs::Json, Prometheus text exposition for scrapers).
+// view; snapshot_json() is a deterministic function of it.
 //
-// Naming convention (enforced by convention, validated in exposition):
-// lowercase snake_case, subsystem prefix first ("serve_", "deploy_",
-// "process_"), unit suffix last where one applies ("_seconds", "_bytes").
-// The Prometheus exposition prepends "rdo_" as the namespace.
-//
-// Recorder bridge: absorb_metrics(rec, registry) folds a snapshot into
-// a Recorder at report time. Harnesses that never touch the registry
-// absorb nothing, so committed BENCH baselines stay byte-identical.
+// Naming convention (the metric-name lint rule): lowercase snake_case,
+// subsystem prefix first ("serve_", "deploy_"), unit suffix last where
+// one applies ("_seconds", "_bytes"). The BENCH names that committed
+// baselines pin ("cycles", "trial_seconds", "deploy:tune") predate it.
+// Standard library + obs::Json only (rdo_obs_base).
 #pragma once
 
 #include <array>
@@ -46,7 +41,6 @@
 
 #include "obs/histogram.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
 
 namespace rdo::obs {
 
@@ -101,6 +95,9 @@ class Gauge {
 class Histogram {
  public:
   void observe(double seconds) noexcept;
+  /// Fold a whole histogram in: equal to observing its samples (count,
+  /// buckets and extremes exact; the sum to the nanosecond).
+  void merge(const LatencyHistogram& h) noexcept;
   /// Point-in-time view summed over all shards.
   [[nodiscard]] LatencyHistogram snapshot() const noexcept;
 
@@ -108,7 +105,11 @@ class Histogram {
   struct alignas(64) Shard {
     std::array<std::atomic<std::int64_t>, kLatencyBuckets> buckets{};
     std::atomic<std::int64_t> sum_ns{0};
+    /// Add a finite duration to sum_ns; non-finite ones are dropped.
+    void add_sum(double seconds) noexcept;
   };
+  /// Fold [lo, hi] into the running extremes.
+  void widen(double lo, double hi) noexcept;
   std::array<Shard, kMetricShards> shards_;
   // Extremes start at ±infinity so the CAS fold works from the first
   // sample; snapshot() reports 0 for both until count > 0.
@@ -144,9 +145,10 @@ class MetricsRegistry {
   /// sorted member names; histogram entries are LatencyHistogram::json().
   [[nodiscard]] Json snapshot_json() const;
 
-  /// Prometheus text exposition (version 0.0.4): every name prefixed
-  /// "rdo_", histograms as cumulative _bucket{le=...}/_sum/_count.
-  [[nodiscard]] std::string prometheus_text() const;
+  /// Fold a snapshot of `other` in: counters add, gauges set,
+  /// histograms merge. Empty histograms create no entry, so folding an
+  /// untouched registry changes nothing.
+  void merge(const MetricsRegistry& other);
 
  private:
   mutable std::mutex mu_;  ///< guards the maps (not the instruments)
@@ -159,11 +161,6 @@ class MetricsRegistry {
 /// cache counters); services that need isolated metrics (one registry
 /// per InferenceService) construct their own.
 MetricsRegistry& global_metrics();
-
-/// Fold a registry snapshot into a Recorder at report time: counters
-/// incr, gauges set, histograms merge. An empty registry is a no-op, so
-/// reports that never used the registry are byte-identical to before.
-void absorb_metrics(Recorder& rec, const MetricsRegistry& registry);
 
 /// Structural validation of a snapshot_json() document: the three
 /// sections present, counters int, gauges numeric, histograms carrying

@@ -25,6 +25,7 @@ void BenchReport::add_failure(const std::string& where,
 }
 
 Json BenchReport::document() const {
+  Json metrics = metrics_.snapshot_json();
   Json doc = Json::object();
   doc["schema_version"] = kBenchSchemaVersion;
   doc["name"] = name_;
@@ -32,7 +33,14 @@ Json BenchReport::document() const {
 
   Json timing = Json::object();
   timing["total_seconds"] = total_.seconds();
-  timing["phases"] = rec_.phases_json();
+  Json phases = Json::array();
+  for (const auto& [name, h] : metrics["histograms"].members()) {
+    Json p = Json::object();
+    p["name"] = name;
+    p["seconds"] = *h.find("sum_seconds");
+    phases.push_back(std::move(p));
+  }
+  timing["phases"] = std::move(phases);
   doc["timing"] = std::move(timing);
 
   const rdo::nn::PoolStats ps = rdo::nn::pool_stats();
@@ -48,18 +56,19 @@ Json BenchReport::document() const {
                             : 0.0;
   doc["pool"] = std::move(pool);
 
-  doc["histograms"] = rec_.histograms_json();
-  doc["counters"] = rec_.counters_json();
-  doc["gauges"] = rec_.gauges_json();
+  doc["histograms"] = std::move(metrics["histograms"]);
+  doc["counters"] = std::move(metrics["counters"]);
+  doc["gauges"] = std::move(metrics["gauges"]);
   doc["results"] = results_;
   doc["failures"] = failures_;
   return doc;
 }
 
 std::string BenchReport::deterministic_dump() const {
+  Json metrics = metrics_.snapshot_json();
   Json det = Json::object();
-  det["counters"] = rec_.counters_json();
-  det["gauges"] = rec_.gauges_json();
+  det["counters"] = std::move(metrics["counters"]);
+  det["gauges"] = std::move(metrics["gauges"]);
   det["results"] = results_;
   det["failures"] = failures_;
   return det.dump();

@@ -20,14 +20,21 @@
 // `results` and `failures` sections are byte-identical for any
 // RDO_THREADS setting (deterministic_dump() serializes exactly those
 // sections; tests/test_obs.cpp asserts the guarantee end to end).
-// `env`, `timing` and `pool` legitimately vary and are excluded.
+// `env`, `timing`, `pool` and `histograms` legitimately vary and are
+// excluded.
+//
+// One store feeds the document: the report's MetricsRegistry. Its
+// counters and gauges become the `counters` and `gauges` sections, its
+// histograms the `histograms` section, and each histogram's summed
+// seconds one `timing.phases` entry {name, seconds}. A phase is filled
+// by TraceSpan(name, cat, rep.metrics()) (obs/trace.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 
 namespace rdo::obs {
@@ -43,8 +50,8 @@ class BenchReport {
   /// in the env block. Total wall time is measured from construction.
   BenchReport(std::string name, std::uint64_t seed);
 
-  /// Phase timers / counters / gauges (thread-safe).
-  Recorder& recorder() { return rec_; }
+  /// Counters, gauges and phase / latency histograms (thread-safe).
+  MetricsRegistry& metrics() { return metrics_; }
 
   /// Deterministic harness-specific payload (mutable root object).
   Json& results() { return results_; }
@@ -76,7 +83,7 @@ class BenchReport {
   std::string name_;
   std::uint64_t seed_;
   Stopwatch total_;
-  Recorder rec_;
+  MetricsRegistry metrics_;
   Json results_ = Json::object();
   Json failures_ = Json::array();
 };

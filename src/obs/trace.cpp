@@ -9,7 +9,7 @@
 
 #include "obs/envvar.h"
 #include "obs/log.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
 
 namespace rdo::obs {
 
@@ -245,9 +245,16 @@ void trace_counter(const char* name, std::int64_t value) {
                                std::move(args));
 }
 
+TraceSpan::TraceSpan(const char* name, const char* cat,
+                     MetricsRegistry& metrics)
+    : cat_(cat), hist_(&metrics.histogram(name)) {
+  traced_ = trace_enabled();
+  begin(name);
+}
+
 void TraceSpan::begin(const char* name) {
   timed_ = true;
-  if (traced_ || rec_ != nullptr) name_ = name;
+  if (traced_) name_ = name;
   start_ns_ = trace_internal::wall_ns();
 }
 
@@ -257,14 +264,13 @@ void TraceSpan::end() noexcept {
   timed_ = false;
   const double seconds = static_cast<double>(dur) * 1e-9;
   if (seconds_ != nullptr) *seconds_ += seconds;
+  if (hist_ != nullptr) hist_->observe(seconds);
+  if (!traced) return;
   // Runs from the destructor: an allocation failure while recording is
   // logged, never thrown out of it.
   try {
-    if (rec_ != nullptr) rec_->add_phase(name_, seconds);
-    if (traced) {
-      trace_internal::append_event('X', name_, cat_, start_ns_, dur,
-                                   std::move(args_));
-    }
+    trace_internal::append_event('X', name_, cat_, start_ns_, dur,
+                                 std::move(args_));
   } catch (const std::exception& e) {
     log_error("trace", "span not recorded")
         .with("span", name_)

@@ -16,10 +16,10 @@
 // BENCH determinism contract (obs/report.h) are unaffected either way:
 // clocks never feed back into any computation.
 //
-// This header lives in rdo_obs_base (json, trace, histogram and
-// recorder: standard library only) so the nn thread pool can emit
-// per-chunk spans without creating a cycle against rdo_obs, which links
-// rdo_nn for pool stats.
+// This header lives in rdo_obs_base (json, trace, histogram and the
+// metrics registry: standard library only) so the nn thread pool can
+// emit per-chunk spans without creating a cycle against rdo_obs, which
+// links rdo_nn for pool stats.
 #pragma once
 
 #include <atomic>
@@ -75,7 +75,8 @@ void trace_bind_thread(int tid, const std::string& name);
 /// counter track named `name`). No-op when tracing is off.
 void trace_counter(const char* name, std::int64_t value);
 
-class Recorder;
+class Histogram;
+class MetricsRegistry;
 
 /// The one RAII phase primitive. Measures construction -> destruction
 /// (or finish()) once and, from that single measurement:
@@ -83,13 +84,13 @@ class Recorder;
 ///     tracing is on;
 ///   * adds the elapsed seconds to `*seconds` when a sink is given
 ///     (the DeployStats phase times);
-///   * or adds them to the Recorder phase of the same name (harness
-///     phases in the BENCH `timing` section).
+///   * or observes them into the registry histogram of the same name
+///     (harness phases: the BENCH `timing` section sums them).
 /// The clock is read only when tracing is on or a sink is given; an
 /// unsunk span with tracing off costs one relaxed atomic load and every
-/// other member is a no-op. `name` is copied when the span will need it
-/// (traced or Recorder-sunk), so a temporary is fine; `cat` is kept by
-/// pointer in the trace buffer and must be a string literal.
+/// other member is a no-op. `name` is copied when the span is traced,
+/// so a temporary is fine; `cat` is kept by pointer in the trace buffer
+/// and must be a string literal.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* cat = "rdo",
@@ -98,11 +99,7 @@ class TraceSpan {
     traced_ = trace_enabled();
     if (traced_ || seconds_ != nullptr) begin(name);
   }
-  TraceSpan(const char* name, const char* cat, Recorder& rec)
-      : cat_(cat), rec_(&rec) {
-    traced_ = trace_enabled();
-    begin(name);
-  }
+  TraceSpan(const char* name, const char* cat, MetricsRegistry& metrics);
   ~TraceSpan() { finish(); }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -128,10 +125,10 @@ class TraceSpan {
   void begin(const char* name);
   void end() noexcept;
 
-  std::string name_;  // set only when traced or Recorder-sunk
+  std::string name_;  // set only when traced
   const char* cat_;
   double* seconds_ = nullptr;
-  Recorder* rec_ = nullptr;
+  Histogram* hist_ = nullptr;
   bool traced_ = false;  ///< emits an event at end()
   bool timed_ = false;   ///< clock read at begin(); end() pending
   std::int64_t start_ns_ = 0;

@@ -171,8 +171,13 @@ DataSelector parse_data(const Json& d) {
   }
   sel.inline_images = rdo::nn::Tensor(dims);
   for (std::size_t i = 0; i < images.size(); ++i) {
-    sel.inline_images[static_cast<std::int64_t>(i)] =
-        static_cast<float>(as_finite(images.at(i), "images"));
+    // A finite double beyond float range has no float value: the cast
+    // would be undefined behaviour, so it is a bad request.
+    const double v = as_finite(images.at(i), "images");
+    if (std::fabs(v) > std::numeric_limits<float>::max()) {
+      bad("\"images\" value out of float range");
+    }
+    sel.inline_images[static_cast<std::int64_t>(i)] = static_cast<float>(v);
   }
   const Json& labels = member(d, "labels");
   if (!labels.is_array() ||

@@ -265,7 +265,6 @@ Json InferenceService::stats_result() {
   metrics_.gauge("serve_queued_requests").set(queued);
   metrics_.gauge("serve_cached_plans").set(static_cast<double>(plans));
   metrics_.gauge("serve_pooled_backends").set(static_cast<double>(pooled));
-  metrics_.gauge("serve_uptime_seconds").set(uptime);
 
   const ServeCounters c = counters();
   Json r = Json::object();

@@ -27,7 +27,10 @@
 // a monotonically increasing request id carried by its "serve:request"
 // trace span and its log lines; requests slower than RDO_SLOW_REQUEST_MS
 // (milliseconds; unset = disabled) are logged at warn level. Harnesses
-// fold the registry into a BENCH report with absorb_metrics at exit.
+// merge the registry into their BenchReport's registry at exit. Its
+// gauges are point-in-time state, never wall-clock readings, so the
+// folded BENCH `gauges` section stays deterministic; the service's
+// uptime is only the flat `uptime_seconds` field of a stats response.
 #pragma once
 
 #include <atomic>
@@ -152,7 +155,7 @@ class InferenceService {
   /// drive the gate into deterministic overload states).
   [[nodiscard]] AdmissionGate& gate() { return gate_; }
   /// Live instrument registry: counters, gauges and the request-latency
-  /// histogram. Harnesses absorb it into a Recorder at report time.
+  /// histogram. Harnesses merge it into a BenchReport at report time.
   [[nodiscard]] rdo::obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const rdo::obs::MetricsRegistry& metrics() const {
     return metrics_;

@@ -51,6 +51,7 @@ TEST(BenchDiff, CountersAreExactUnlessGivenTolerance) {
   const DiffReport rep = diff_bench_documents(a, b, loose);
   EXPECT_TRUE(rep.ok());
   EXPECT_FALSE(rep.infos.empty());  // tolerated drift is still reported
+  EXPECT_EQ(rep.tolerated, 1u);
   loose.counter_rel_tol = 0.001;
   EXPECT_FALSE(diff_bench_documents(a, b, loose).ok());
 }
@@ -137,4 +138,6 @@ TEST(BenchDiff, VolatileSectionsAreInformationalOnly) {
                                 ? ""
                                 : rep.regressions.front());
   EXPECT_FALSE(rep.infos.empty());
+  // Volatile notes are not drift accepted within tolerance.
+  EXPECT_EQ(rep.tolerated, 0u);
 }

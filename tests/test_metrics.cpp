@@ -1,6 +1,6 @@
-// Live metrics registry (obs/metrics.h) and structured logging
-// (obs/log.h): instrument semantics, concurrent determinism, the JSON /
-// Prometheus exports, the Recorder bridge, and the log line format
+// The metrics registry (obs/metrics.h) and structured logging
+// (obs/log.h): instrument semantics, concurrent determinism, the JSON
+// export, the registry-to-registry fold, and the log line format
 // contract.
 #include <gtest/gtest.h>
 
@@ -16,20 +16,9 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 
 using namespace rdo;
 using obs::Json;
-
-namespace {
-
-std::string prom_g(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 TEST(Metrics, CounterAddsAndSumsAcrossShards) {
   obs::MetricsRegistry reg;
@@ -44,7 +33,7 @@ TEST(Metrics, CounterAddsAndSumsAcrossShards) {
 
 TEST(Metrics, GaugeIsLastWriteWins) {
   obs::MetricsRegistry reg;
-  obs::Gauge& g = reg.gauge("serve_uptime_seconds");
+  obs::Gauge& g = reg.gauge("serve_queued_requests");
   EXPECT_EQ(g.value(), 0.0);
   g.set(1.5);
   g.set(-2.25);
@@ -60,7 +49,7 @@ TEST(Metrics, NameClaimsExactlyOneInstrumentKind) {
   EXPECT_THROW(reg.counter("y"), std::logic_error);
 }
 
-TEST(Metrics, BucketGeometryMatchesRecorderContract) {
+TEST(Metrics, BucketGeometryIsLog2Microseconds) {
   // bucket i covers [2^i, 2^(i+1)) microseconds.
   EXPECT_EQ(obs::latency_bucket_index(0.0), 0);
   EXPECT_EQ(obs::latency_bucket_index(-1.0), 0);
@@ -70,8 +59,7 @@ TEST(Metrics, BucketGeometryMatchesRecorderContract) {
   EXPECT_EQ(obs::latency_bucket_index(4.0e-6), 2);
   EXPECT_EQ(obs::latency_bucket_index(1e9), obs::kLatencyBuckets - 1);
   for (int i = 0; i < obs::kLatencyBuckets; ++i) {
-    EXPECT_EQ(obs::latency_bucket_upper_seconds(i),
-              std::exp2(i + 1) * 1e-6);
+    EXPECT_EQ(obs::latency_bucket_index(std::exp2(i) * 1e-6), i);
     const double mid = obs::latency_bucket_midpoint_seconds(i);
     EXPECT_EQ(obs::latency_bucket_index(mid), i);
   }
@@ -148,7 +136,7 @@ TEST(Metrics, SnapshotJsonIsSortedAndValid) {
   // Registered out of order: the export must sort by name.
   reg.counter("serve_requests").add(3);
   reg.counter("deploy_lut_cache_hits").add(1);
-  reg.gauge("serve_uptime_seconds").set(2.0);
+  reg.gauge("serve_cached_plans").set(2.0);
   reg.histogram("serve_request_seconds").observe(5.0e-6);
 
   const Json doc = reg.snapshot_json();
@@ -161,40 +149,6 @@ TEST(Metrics, SnapshotJsonIsSortedAndValid) {
   EXPECT_EQ(counters[1].second.as_int(), 3);
   // Identical state serializes identically (snapshot determinism).
   EXPECT_EQ(doc.dump(), reg.snapshot_json().dump());
-}
-
-TEST(Metrics, PrometheusExpositionGolden) {
-  obs::MetricsRegistry reg;
-  reg.counter("serve_requests").add(7);
-  reg.gauge("serve_queue.depth").set(2.5);  // '.' sanitized to '_'
-  reg.histogram("serve_request_seconds").observe(3.0e-6);
-
-  // Expected text built with the same bucket-boundary formatting the
-  // exposition promises (le = 2^(i+1) µs rendered with %g).
-  const obs::LatencyHistogram hs =
-      reg.histogram("serve_request_seconds").snapshot();
-  std::string expected;
-  expected += "# TYPE rdo_serve_requests counter\n";
-  expected += "rdo_serve_requests 7\n";
-  expected += "# TYPE rdo_serve_queue_depth gauge\n";
-  expected += "rdo_serve_queue_depth 2.5\n";
-  expected += "# TYPE rdo_serve_request_seconds histogram\n";
-  std::int64_t cumulative = 0;
-  for (int i = 0; i < obs::kLatencyBuckets; ++i) {
-    cumulative += hs.buckets[static_cast<std::size_t>(i)];
-    expected += "rdo_serve_request_seconds_bucket{le=\"" +
-                prom_g(obs::latency_bucket_upper_seconds(i)) + "\"} " +
-                std::to_string(cumulative) + "\n";
-  }
-  expected += "rdo_serve_request_seconds_bucket{le=\"+Inf\"} 1\n";
-  expected += "rdo_serve_request_seconds_sum " + prom_g(hs.sum_seconds) +
-              "\n";
-  expected += "rdo_serve_request_seconds_count 1\n";
-
-  EXPECT_EQ(reg.prometheus_text(), expected);
-  // The 3 µs sample lands in bucket [2µs, 4µs): cumulative goes 0 then 1.
-  EXPECT_NE(expected.find("le=\"2e-06\"} 0\n"), std::string::npos);
-  EXPECT_NE(expected.find("le=\"4e-06\"} 1\n"), std::string::npos);
 }
 
 TEST(Metrics, QuantileWalksBucketsAndClamps) {
@@ -241,43 +195,65 @@ TEST(Metrics, LatencyHistogramMergeEqualsObservingTheUnion) {
   EXPECT_EQ(empty.json().dump(), all.json().dump());
 }
 
-TEST(Metrics, AbsorbFoldsRegistryIntoRecorder) {
+TEST(Metrics, HistogramMergeEqualsObservingTheSamples) {
+  obs::LatencyHistogram h;
+  for (const double s : {3.0e-6, 40.0e-6, 1.0e-3, 0.5}) h.observe(s);
+  obs::MetricsRegistry reg;
+  obs::Histogram& observed = reg.histogram("bench_observed_seconds");
+  for (const double s : {3.0e-6, 40.0e-6, 1.0e-3, 0.5}) observed.observe(s);
+  obs::Histogram& merged = reg.histogram("bench_merged_seconds");
+  merged.merge(h);
+  const obs::LatencyHistogram a = observed.snapshot();
+  const obs::LatencyHistogram b = merged.snapshot();
+  EXPECT_EQ(b.count, 4);
+  EXPECT_EQ(b.buckets, a.buckets);
+  EXPECT_EQ(b.min_seconds, a.min_seconds);
+  EXPECT_EQ(b.max_seconds, a.max_seconds);
+  EXPECT_NEAR(b.sum_seconds, a.sum_seconds, 4e-9);  // whole nanoseconds
+  // Merging an empty histogram changes nothing.
+  merged.merge(obs::LatencyHistogram{});
+  EXPECT_EQ(merged.snapshot().json().dump(), b.json().dump());
+}
+
+TEST(Metrics, MergeFoldsOneRegistryIntoAnother) {
   obs::MetricsRegistry reg;
   reg.counter("serve_requests").add(5);
-  reg.gauge("serve_uptime_seconds").set(1.25);
+  reg.gauge("serve_cached_plans").set(1.0);
   obs::Histogram& h = reg.histogram("serve_request_seconds");
   h.observe(3.0e-6);
   h.observe(40.0e-6);
 
-  obs::Recorder rec;
-  rec.observe("serve_request_seconds", 2.0e-3);  // pre-existing sample
-  obs::absorb_metrics(rec, reg);
+  obs::MetricsRegistry into;
+  into.counter("serve_requests").add(2);
+  into.gauge("serve_cached_plans").set(4.0);
+  into.histogram("serve_request_seconds").observe(2.0e-3);  // pre-existing
+  into.merge(reg);
 
-  EXPECT_EQ(rec.counter("serve_requests"), 5);
-  const Json gauges = rec.gauges_json();
-  EXPECT_EQ(gauges.find("serve_uptime_seconds")->as_double(), 1.25);
-  const Json hist = rec.histograms_json();
-  const Json* lat = hist.find("serve_request_seconds");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->find("count")->as_int(), 3);  // merged, not resampled
-  EXPECT_EQ(lat->find("min_seconds")->as_double(), 3.0e-6);
-  EXPECT_EQ(lat->find("max_seconds")->as_double(), 2.0e-3);
-  EXPECT_NEAR(lat->find("sum_seconds")->as_double(), 2.0e-3 + 43.0e-6, 1e-12);
+  EXPECT_EQ(into.counter("serve_requests").value(), 7);  // counters add
+  EXPECT_EQ(into.gauge("serve_cached_plans").value(), 1.0);  // gauges set
+  const obs::LatencyHistogram lat =
+      into.histogram("serve_request_seconds").snapshot();
+  EXPECT_EQ(lat.count, 3);  // merged, not resampled
+  EXPECT_EQ(lat.min_seconds, 3.0e-6);
+  EXPECT_EQ(lat.max_seconds, 2.0e-3);
+  EXPECT_NEAR(lat.sum_seconds, 2.0e-3 + 43.0e-6, 1e-12);
+  // The source is only read.
+  EXPECT_EQ(reg.counter("serve_requests").value(), 5);
 }
 
-TEST(Metrics, AbsorbOfEmptyRegistryIsByteIdenticalNoOp) {
-  obs::Recorder rec;
-  rec.incr("existing", 2);
-  rec.observe("lat", 1.0e-4);
-  const std::string before = rec.counters_json().dump() +
-                             rec.gauges_json().dump() +
-                             rec.histograms_json().dump();
-  const obs::MetricsRegistry empty;
-  obs::absorb_metrics(rec, empty);
-  const std::string after = rec.counters_json().dump() +
-                            rec.gauges_json().dump() +
-                            rec.histograms_json().dump();
-  EXPECT_EQ(before, after);
+TEST(Metrics, MergeOfEmptyInstrumentsAddsNoHistogram) {
+  obs::MetricsRegistry into;
+  into.counter("bench_existing").add(2);
+  into.histogram("bench_lat_seconds").observe(1.0e-4);
+  const std::string before = into.snapshot_json().dump();
+  into.merge(obs::MetricsRegistry{});
+  EXPECT_EQ(into.snapshot_json().dump(), before);
+
+  // A registered but never-observed histogram creates no entry.
+  obs::MetricsRegistry idle;
+  idle.histogram("bench_idle_seconds");
+  into.merge(idle);
+  EXPECT_EQ(into.snapshot_json().dump(), before);
 }
 
 TEST(Metrics, ValidateMetricsJsonRejectsStructuralDamage) {

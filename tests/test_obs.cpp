@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs): JSON round-trips, the
-// recorder, BENCH document schema validation, and the end-to-end
-// determinism contract — the deterministic sections of a report are
-// byte-identical across RDO_THREADS settings for a fixed seed.
+// latency histogram, BENCH documents built from one registry, schema
+// validation, and the end-to-end determinism contract — the
+// deterministic sections of a report are byte-identical across
+// RDO_THREADS settings for a fixed seed.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +27,7 @@
 #include "nn/sequential.h"
 #include "obs/env.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "quant/act_quant.h"
@@ -146,30 +147,36 @@ TEST(Json, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
-TEST(Recorder, AccumulatesPhasesCountersGauges) {
-  rdo::obs::Recorder rec;
-  rec.add_phase("alpha", 1.5);
-  rec.add_phase("alpha", 0.5);
-  rec.add_phase("beta", 0.25);
-  rec.incr("widgets");
-  rec.incr("widgets", 4);
-  rec.set_gauge("ratio", 0.75);
-  rec.set_gauge("ratio", 0.5);  // last write wins
-  EXPECT_DOUBLE_EQ(rec.phase_seconds("alpha"), 2.0);
-  EXPECT_DOUBLE_EQ(rec.phase_seconds("beta"), 0.25);
-  EXPECT_EQ(rec.counter("widgets"), 5);
-  EXPECT_EQ(rec.counters_json().dump(), "{\"widgets\":5}");
-  EXPECT_EQ(rec.gauges_json().dump(), "{\"ratio\":0.5}");
-  // Phases keep first-use order.
-  const Json phases = rec.phases_json();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases.at(0).find("name")->as_string(), "alpha");
+TEST(BenchReport, PhasesCountersAndGaugesComeFromOneRegistry) {
+  rdo::obs::BenchReport rep("unit_test", 1);
+  rdo::obs::MetricsRegistry& m = rep.metrics();
+  m.histogram("bench_beta_seconds").observe(0.25);
+  m.histogram("bench_alpha_seconds").observe(1.5);
+  m.histogram("bench_alpha_seconds").observe(0.5);
+  m.counter("bench_widgets").add();
+  m.counter("bench_widgets").add(4);
+  m.gauge("bench_ratio").set(0.75);
+  m.gauge("bench_ratio").set(0.5);  // last write wins
+  EXPECT_EQ(rep.deterministic_dump(),
+            "{\"counters\":{\"bench_widgets\":5},"
+            "\"gauges\":{\"bench_ratio\":0.5},"
+            "\"results\":{},\"failures\":[]}");
+  // Every histogram is a phase: its summed seconds, in name order.
+  const Json doc = rep.document();
+  const Json* phases = doc.find("timing")->find("phases");
+  ASSERT_EQ(phases->size(), 2u);
+  EXPECT_EQ(phases->at(0).find("name")->as_string(), "bench_alpha_seconds");
+  EXPECT_DOUBLE_EQ(phases->at(0).find("seconds")->as_double(), 2.0);
+  EXPECT_EQ(phases->at(1).find("name")->as_string(), "bench_beta_seconds");
+  EXPECT_DOUBLE_EQ(phases->at(1).find("seconds")->as_double(), 0.25);
+  const Json* alpha = doc.find("histograms")->find("bench_alpha_seconds");
+  EXPECT_EQ(alpha->find("count")->as_int(), 2);
 }
 
 TEST(BenchReport, DocumentValidatesAgainstSchema) {
   rdo::obs::BenchReport rep("unit_test", 99);
-  rep.recorder().incr("things", 3);
-  rep.recorder().set_gauge("level", 0.5);
+  rep.metrics().counter("bench_things").add(3);
+  rep.metrics().gauge("bench_level").set(0.5);
   rep.results()["answer"] = 42;
   const Json doc = rep.document();
   std::string err;
@@ -263,9 +270,10 @@ std::string deterministic_report(int threads) {
   Json per_cycle = Json::array();
   for (float a : res.per_cycle) per_cycle.push_back(static_cast<double>(a));
   rep.results()["per_cycle"] = std::move(per_cycle);
-  rep.recorder().incr("cycles", res.stats.cycles);
-  rep.recorder().incr("device_pulses", res.stats.device_pulses);
-  rdo::core::add_deploy_phase_times(rep.recorder(), res.stats);
+  rep.metrics().counter("bench_cycles").add(res.stats.cycles);
+  rep.metrics().counter("bench_device_pulses").add(
+      res.stats.device_pulses);
+  rdo::core::add_deploy_phase_times(rep.metrics(), res.stats);
   for (const std::string& e : res.errors) {
     if (!e.empty()) rep.add_failure("trial", e);
   }
@@ -280,13 +288,13 @@ TEST(Determinism, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
   // Sanity: the probe actually ran the pipeline.
   const Json doc = Json::parse(serial);
-  EXPECT_EQ(doc.find("counters")->find("cycles")->as_int(), 3);
-  EXPECT_GT(doc.find("counters")->find("device_pulses")->as_int(), 0);
+  EXPECT_EQ(doc.find("counters")->find("bench_cycles")->as_int(), 3);
+  EXPECT_GT(doc.find("counters")->find("bench_device_pulses")->as_int(), 0);
 }
 
 TEST(Determinism, TracingDoesNotPerturbTheReport) {
   // Tracing must never feed back into the computation or the report:
-  // trace counters go to the trace file, not the recorder, and spans
+  // trace counters go to the trace file, not the registry, and spans
   // only read the clock. The deterministic sections (which include the
   // counters) must be byte-identical with tracing on and off.
   const std::string untraced = deterministic_report(2);
@@ -313,13 +321,22 @@ TEST(DeployStats, MergeFoldsTheEvalLatencyHistogram) {
   // Wall times stay out of the deterministic record...
   EXPECT_EQ(rdo::core::deploy_stats_json(a).dump().find("seconds"),
             std::string::npos);
-  // ...and reach a report as the deploy:evaluate phase and histogram.
-  rdo::obs::Recorder rec;
-  rdo::core::add_deploy_phase_times(rec, a);
-  EXPECT_EQ(rec.phase_seconds("deploy:evaluate"), 2.75);
-  const Json h = rec.histograms_json();
-  ASSERT_NE(h.find("deploy_evaluate_seconds"), nullptr);
-  EXPECT_EQ(h.find("deploy_evaluate_seconds")->find("count")->as_int(), 3);
+  // ...and reach a report as the deploy:evaluate phase histogram, one
+  // sample per evaluate() call.
+  rdo::obs::MetricsRegistry m;
+  rdo::core::add_deploy_phase_times(m, a);
+  const Json phases = m.snapshot_json();
+  const Json* h = phases.find("histograms")->find("deploy:evaluate");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->find("count")->as_int(), 3);
+  EXPECT_EQ(h->find("sum_seconds")->as_double(), 2.75);
+  EXPECT_EQ(h->find("min_seconds")->as_double(), 0.25);
+  EXPECT_EQ(h->find("max_seconds")->as_double(), 2.0);
+  // The other phases get one sample per call.
+  EXPECT_EQ(phases.find("histograms")->size(), 6u);
+  EXPECT_EQ(phases.find("histograms")->find("deploy:tune")->find("count")
+                ->as_int(),
+            1);
 }
 
 TEST(DeployStats, ThousandsOfEvaluatesKeepEvalLatencyFixedSize) {
@@ -400,20 +417,18 @@ TEST(Json, NanAndInfinitySerializeAsNull) {
   EXPECT_EQ(Json::parse(back.dump()).dump(), back.dump());
 }
 
-TEST(Recorder, HistogramPlacesSamplesInPowerOfTwoBuckets) {
-  rdo::obs::Recorder rec;
-  rec.observe("lat", 2e-6);    // 2 us -> bucket 1
-  rec.observe("lat", 1e-3);    // 1000 us -> bucket 9
-  rec.observe("lat", 1.0);     // 1e6 us -> bucket 19
-  rec.observe("lat", 1e-7);    // sub-microsecond clamps to bucket 0
-  rec.observe("lat", 1e9);     // beyond the range clamps to the last bucket
-  const Json h = rec.histograms_json();
-  const Json* lat = h.find("lat");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->find("count")->as_int(), 5);
-  EXPECT_DOUBLE_EQ(lat->find("min_seconds")->as_double(), 1e-7);
-  EXPECT_DOUBLE_EQ(lat->find("max_seconds")->as_double(), 1e9);
-  const Json* buckets = lat->find("bucket_counts");
+TEST(LatencyHistogram, PlacesSamplesInPowerOfTwoBuckets) {
+  rdo::obs::LatencyHistogram h;
+  h.observe(2e-6);    // 2 us -> bucket 1
+  h.observe(1e-3);    // 1000 us -> bucket 9
+  h.observe(1.0);     // 1e6 us -> bucket 19
+  h.observe(1e-7);    // sub-microsecond clamps to bucket 0
+  h.observe(1e9);     // beyond the range clamps to the last bucket
+  const Json lat = h.json();
+  EXPECT_EQ(lat.find("count")->as_int(), 5);
+  EXPECT_DOUBLE_EQ(lat.find("min_seconds")->as_double(), 1e-7);
+  EXPECT_DOUBLE_EQ(lat.find("max_seconds")->as_double(), 1e9);
+  const Json* buckets = lat.find("bucket_counts");
   ASSERT_NE(buckets, nullptr);
   ASSERT_EQ(buckets->size(),
             static_cast<std::size_t>(rdo::obs::kLatencyBuckets));
@@ -427,49 +442,51 @@ TEST(Recorder, HistogramPlacesSamplesInPowerOfTwoBuckets) {
   EXPECT_EQ(buckets->at(9).as_int(), 1);
   EXPECT_EQ(buckets->at(19).as_int(), 1);
   EXPECT_EQ(buckets->at(rdo::obs::kLatencyBuckets - 1).as_int(), 1);
+
+  // A registry histogram places the same samples in the same buckets.
+  rdo::obs::MetricsRegistry m;
+  for (const double s : {2e-6, 1e-3, 1.0, 1e-7, 1e9}) {
+    m.histogram("bench_lat_seconds").observe(s);
+  }
+  EXPECT_EQ(m.histogram("bench_lat_seconds").snapshot().buckets, h.buckets);
 }
 
-TEST(Recorder, HistogramQuantilesAreBucketMidpointsClampedToRange) {
-  rdo::obs::Recorder rec;
+TEST(LatencyHistogram, QuantilesAreBucketMidpointsClampedToRange) {
   // All mass in one bucket: every quantile collapses to the observed
   // value because the midpoint is clamped to [min, max].
-  for (int i = 0; i < 100; ++i) rec.observe("tight", 1e-3);
-  // Bind the document: find() returns a pointer into it, so calling it
-  // on the temporary would dangle (caught by the ASan preset).
-  const Json tight_doc = rec.histograms_json();
-  const Json* tight = tight_doc.find("tight");
-  ASSERT_NE(tight, nullptr);
-  EXPECT_DOUBLE_EQ(tight->find("p50_seconds")->as_double(), 1e-3);
-  EXPECT_DOUBLE_EQ(tight->find("p95_seconds")->as_double(), 1e-3);
-  EXPECT_DOUBLE_EQ(tight->find("p99_seconds")->as_double(), 1e-3);
+  rdo::obs::LatencyHistogram tight;
+  for (int i = 0; i < 100; ++i) tight.observe(1e-3);
+  EXPECT_DOUBLE_EQ(tight.quantile(0.50), 1e-3);
+  EXPECT_DOUBLE_EQ(tight.quantile(0.95), 1e-3);
+  EXPECT_DOUBLE_EQ(tight.quantile(0.99), 1e-3);
+  const Json tight_doc = tight.json();
+  EXPECT_DOUBLE_EQ(tight_doc.find("p99_seconds")->as_double(), 1e-3);
 
   // Spread mass: p50 lands on the middle sample's bucket midpoint,
   // p95/p99 on the top bucket; ordering and bounds must hold.
-  rec.observe("spread", 2e-6);
-  rec.observe("spread", 1e-3);
-  rec.observe("spread", 1.0);
-  const Json spread_doc = rec.histograms_json();
-  const Json* spread = spread_doc.find("spread");
-  ASSERT_NE(spread, nullptr);
-  const double p50 = spread->find("p50_seconds")->as_double();
-  const double p95 = spread->find("p95_seconds")->as_double();
-  const double p99 = spread->find("p99_seconds")->as_double();
+  rdo::obs::LatencyHistogram spread;
+  spread.observe(2e-6);
+  spread.observe(1e-3);
+  spread.observe(1.0);
+  const double p50 = spread.quantile(0.50);
+  const double p95 = spread.quantile(0.95);
+  const double p99 = spread.quantile(0.99);
   EXPECT_DOUBLE_EQ(p50, std::exp2(9.5) * 1e-6);   // bucket 9 midpoint
   EXPECT_DOUBLE_EQ(p95, std::exp2(19.5) * 1e-6);  // bucket 19 midpoint
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, spread->find("min_seconds")->as_double());
-  EXPECT_LE(p99, spread->find("max_seconds")->as_double());
+  EXPECT_GE(p50, spread.min_seconds);
+  EXPECT_LE(p99, spread.max_seconds);
 }
 
 TEST(BenchReport, HistogramsAreVolatileButValidated) {
   rdo::obs::BenchReport rep("unit_test", 1);
-  rep.recorder().observe("trial_seconds", 0.25);
+  rep.metrics().histogram("bench_trial_seconds").observe(0.25);
   const Json doc = rep.document();
   std::string err;
   EXPECT_TRUE(rdo::obs::validate_bench_document(doc, &err)) << err;
   ASSERT_NE(doc.find("histograms"), nullptr);
-  EXPECT_NE(doc.find("histograms")->find("trial_seconds"), nullptr);
+  EXPECT_NE(doc.find("histograms")->find("bench_trial_seconds"), nullptr);
   // Histograms are wall-clock derived, so they are excluded from the
   // deterministic sections.
   EXPECT_EQ(rep.deterministic_dump().find("histograms"), std::string::npos);
@@ -483,7 +500,7 @@ TEST(BenchReport, HistogramsAreVolatileButValidated) {
   bad["histograms"] = 5;
   EXPECT_FALSE(rdo::obs::validate_bench_document(bad, &err));
   Json bad_entry = rep.document();
-  bad_entry["histograms"]["trial_seconds"]["bucket_counts"] = "nope";
+  bad_entry["histograms"]["bench_trial_seconds"]["bucket_counts"] = "nope";
   EXPECT_FALSE(rdo::obs::validate_bench_document(bad_entry, &err));
 }
 

@@ -19,7 +19,7 @@
 #include "nn/sequential.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -369,6 +369,11 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       R"({"op": "evaluate", "data": {"split": "test", "count": 99}})",
       R"({"op": "evaluate", "data": {"shape": [2, 6], "images": [0.0],)"
       R"( "labels": [0, 1]}})",
+      // A finite value beyond float range has no float to convert to.
+      R"({"op": "evaluate", "data": {"shape": [1, 2], "images": [0.5, 1e300],)"
+      R"( "labels": [0]}})",
+      R"({"op": "evaluate", "data": {"shape": [1, 2], "images": [-1e39, 0.5],)"
+      R"( "labels": [0]}})",
       R"({"op": "evaluate", "batch": 0})",
       R"({"op": "evaluate", "config": {"opt_passes": "bogus_pass"}})",
       R"({"op": "evaluate", "config": {"opt_passes": 3}})",
@@ -421,7 +426,7 @@ TEST(Serve, BackendPoolIsKeyedByCycle) {
   EXPECT_EQ(c.plan_hits, 2);
 }
 
-TEST(Serve, LatencyAndCountersLandInRecorder) {
+TEST(Serve, LatencyAndCountersLandInBenchReport) {
   const ServeFixture f;
   serve::InferenceService svc = f.make_service();
   const Json ev = reply(svc, R"({"op": "evaluate"})");
@@ -430,19 +435,59 @@ TEST(Serve, LatencyAndCountersLandInRecorder) {
   ASSERT_TRUE(ping.find("ok")->as_bool());
   expect_bad_request(reply(svc, "nope"), "nope");
 
-  // Report-time bridge: the live registry folds into a Recorder once,
-  // instead of the service writing the Recorder per event.
-  obs::Recorder rec;
-  obs::absorb_metrics(rec, svc.metrics());
+  // Report-time fold: the live registry merges into the report's
+  // registry once, instead of the service writing the report per event.
+  obs::BenchReport rep("serve_probe", 1);
+  rep.metrics().merge(svc.metrics());
+  const Json doc = rep.document();
 
-  EXPECT_EQ(rec.counter("serve_requests"), 3);
-  EXPECT_EQ(rec.counter("serve_ok"), 2);
-  EXPECT_EQ(rec.counter("serve_bad_request"), 1);
-  EXPECT_EQ(rec.counter("serve_plan_misses"), 1);
-  const Json hist = rec.histograms_json();
-  const Json* lat = hist.find("serve_request_seconds");
+  const Json* counters = doc.find("counters");
+  EXPECT_EQ(counters->find("serve_requests")->as_int(), 3);
+  EXPECT_EQ(counters->find("serve_ok")->as_int(), 2);
+  EXPECT_EQ(counters->find("serve_bad_request")->as_int(), 1);
+  EXPECT_EQ(counters->find("serve_plan_misses")->as_int(), 1);
+  const Json* lat = doc.find("histograms")->find("serve_request_seconds");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->find("count")->as_int(), 3);
+  std::string err;
+  EXPECT_TRUE(obs::validate_bench_document(doc, &err)) << err;
+}
+
+TEST(Serve, IdenticalTrafficFoldsToIdenticalDeterministicReports) {
+  // Everything a service folds into the deterministic BENCH sections
+  // is a function of the request lines, never of the clock.
+  const ServeFixture f;
+  const std::vector<std::string> lines = {
+      R"({"id": 1, "op": "ping"})",
+      R"({"id": 2, "op": "evaluate", "data": {"split": "test", "count": 4}})",
+      R"({"id": 3, "op": "evaluate", "data": {"split": "test", "count": 4}})",
+      "this is not json",
+      R"({"id": 5, "op": "stats"})",
+  };
+  std::vector<std::string> dumps;
+  for (int run = 0; run < 2; ++run) {
+    serve::InferenceService svc = f.make_service();
+    for (const std::string& line : lines) (void)svc.handle_line(line);
+    // Later in the second run, so any clock reading would differ.
+    if (run == 1) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    (void)svc.handle_line(R"({"op": "stats"})");
+    obs::BenchReport rep("serve_probe", 1);
+    rep.metrics().merge(svc.metrics());
+    dumps.push_back(rep.deterministic_dump());
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+  const Json doc = Json::parse(dumps[0]);
+  EXPECT_EQ(doc.find("counters")->find("serve_requests")->as_int(), 6);
+  EXPECT_NE(doc.find("gauges")->find("serve_cached_plans"), nullptr);
+}
+
+TEST(Serve, InlineValueAtFloatRangeEdgeIsAccepted) {
+  const ServeFixture f;
+  const serve::ServeRequest req = serve::parse_request(
+      Json::parse(R"({"op": "evaluate", "data": {"shape": [1, 2],)"
+                  R"( "images": [0.5, 3.4e38], "labels": [0]}})"),
+      f.base);
+  EXPECT_EQ(req.data.inline_images[1], 3.4e38f);
 }
 
 #ifdef RDO_SERVE_BIN

@@ -22,7 +22,8 @@
 #include "nn/parallel.h"
 #include "nn/sequential.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/crossbar_executor.h"
 
@@ -125,33 +126,41 @@ TEST(Trace, SunkSpanAddsTimeWhenOffAndEmitsExactlyOneSpanWhenOn) {
   std::filesystem::remove(path);
 }
 
-TEST(Trace, RecorderSpanAddsOnePhaseAndOneSpan) {
-  rdo::obs::Recorder rec;
-  const std::string path = temp_trace_path("recorder");
+TEST(Trace, RegistrySpanAddsOnePhaseAndOneSpan) {
+  rdo::obs::BenchReport rep("unit_test", 1);
+  const std::string path = temp_trace_path("registry");
   rdo::obs::trace_start(path);
   {
-    rdo::obs::TraceSpan span("unit:phase", "harness", rec);
+    rdo::obs::TraceSpan span("bench_unit_seconds", "harness", rep.metrics());
     EXPECT_TRUE(span.active());
     spin_a_little();
   }
   ASSERT_EQ(rdo::obs::trace_stop(), path);
-  const Json phases = rec.phases_json();
-  ASSERT_EQ(phases.size(), 1u);
-  EXPECT_EQ(phases.at(0).find("name")->as_string(), "unit:phase");
-  const double traced = rec.phase_seconds("unit:phase");
+  const rdo::obs::Histogram& h =
+      rep.metrics().histogram("bench_unit_seconds");
+  EXPECT_EQ(h.snapshot().count, 1);
+  const double traced = h.snapshot().sum_seconds;
   EXPECT_GE(traced, 50e-6);
   const Json doc = rdo::obs::read_json_file(path);
-  EXPECT_EQ(span_counts(doc)["unit:phase"], 1);
-  EXPECT_NEAR(span_dur_us(doc, "unit:phase"), traced * 1e6, 1e-3);
+  EXPECT_EQ(span_counts(doc)["bench_unit_seconds"], 1);
+  // The histogram keeps whole nanoseconds of the one clock reading.
+  EXPECT_NEAR(span_dur_us(doc, "bench_unit_seconds"), traced * 1e6, 2e-3);
   std::filesystem::remove(path);
 
-  // Tracing off: the phase still accumulates under the same name.
+  // Tracing off: the phase still accumulates under the same name, and
+  // the report lists it once with the summed seconds.
   {
-    rdo::obs::TraceSpan span("unit:phase", "harness", rec);
+    rdo::obs::TraceSpan span("bench_unit_seconds", "harness", rep.metrics());
     spin_a_little();
   }
-  EXPECT_EQ(rec.phases_json().size(), 1u);
-  EXPECT_GT(rec.phase_seconds("unit:phase"), traced);
+  EXPECT_EQ(h.snapshot().count, 2);
+  const Json report = rep.document();
+  const Json* listed = report.find("timing")->find("phases");
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ(listed->at(0).find("name")->as_string(), "bench_unit_seconds");
+  EXPECT_GT(listed->at(0).find("seconds")->as_double(), traced);
+  EXPECT_EQ(listed->at(0).find("seconds")->as_double(),
+            h.snapshot().sum_seconds);
 }
 
 TEST(Trace, OptimizerPipelineEmitsOneSpanPerPass) {

@@ -109,6 +109,6 @@ int main(int argc, char** argv) {
   }
   std::printf("bench_diff: deterministic sections match (%zu tolerated "
               "drift(s))\n",
-              report.infos.size());
+              report.tolerated);
   return 0;
 }

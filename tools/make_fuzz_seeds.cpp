@@ -3,10 +3,12 @@
 //   make_fuzz_seeds <corpus-root>
 //
 // Seeds are produced by the real serializers (save_params, RLut::save)
-// plus hand-derived corrupt variants (truncations, bad magic, oversized
-// header counts, trailing bytes), so every branch of the hardened load
-// paths has at least one corpus case from the start. The generator is
-// deterministic: regenerating over an existing corpus is byte-identical.
+// or written out for the text formats (JSON, CLI flags, serve request
+// lines), plus hand-derived corrupt variants (truncations, bad magic,
+// oversized header counts, trailing bytes), so every branch of the
+// hardened load paths has at least one corpus case from the start. The
+// generator is deterministic: regenerating over an existing corpus is
+// byte-identical.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/plan.h"
@@ -241,6 +244,62 @@ void make_args_seeds(const fs::path& dir) {
        std::string("--m\n99999999999999999999\n--seed\n-1"));
 }
 
+void make_protocol_seeds(const fs::path& dir) {
+  fs::create_directories(dir);
+  // Request shapes from tests/test_serve.cpp: every op, every config
+  // key family, both data forms, and rejected variants of each.
+  const std::pair<const char*, const char*> seeds[] = {
+      {"ping.json", R"({"id": "a1", "op": "ping"})"},
+      {"stats.json", R"({"id": 2, "op": "stats"})"},
+      {"evaluate_min.json", R"({"op": "evaluate"})"},
+      {"evaluate_split.json",
+       R"({"id": 1, "op": "evaluate", "config": {"scheme": "VAWO*", )"
+       R"("sigma": 0.6}, "cycle": 2, "batch": 64, )"
+       R"("data": {"split": "test", "offset": 0, "count": 4}})"},
+      {"evaluate_config_all.json",
+       R"({"op": "evaluate", "config": {"scheme": "VAWO*+PWT", )"
+       R"("sigma": 0.5, "ddv_fraction": 0.25, "scope": "per_cell", )"
+       R"("cell": "MLC2", "on_off_ratio": 200, "m": 8, "offset_bits": 4, )"
+       R"("weight_bits": 4, "seed": 7, "lut_k_sets": 2, )"
+       R"("lut_j_cycles": 2, "grad_samples": 8, "pwt_epochs": 1, )"
+       R"("opt_passes": "color_offset_registers"}})"},
+      {"evaluate_inline.json",
+       R"({"id": 1, "op": "evaluate", "data": {"shape": [2, 3], )"
+       R"("images": [0.0, 0.5, -0.5, 1.0, 0.25, -1.0], "labels": [0, 1]}})"},
+      {"inline_float_max.json",
+       R"({"op": "evaluate", "data": {"shape": [1, 2], )"
+       R"("images": [0.5, 3.4e38], "labels": [0]}})"},
+      {"bad_inline_1e300.json",
+       R"({"op": "evaluate", "data": {"shape": [1, 2], )"
+       R"("images": [0.5, 1e300], "labels": [0]}})"},
+      {"bad_inline_neg_1e39.json",
+       R"({"op": "evaluate", "data": {"shape": [1, 2], )"
+       R"("images": [-1e39, 0.5], "labels": [0]}})"},
+      {"bad_inline_length.json",
+       R"({"op": "evaluate", "data": {"shape": [2, 6], "images": [0.0], )"
+       R"("labels": [0, 1]}})"},
+      {"bad_op.json", R"({"op": "reboot"})"},
+      {"bad_extra_key.json", R"({"op": "ping", "extra": 1})"},
+      {"bad_id.json", R"({"id": {"nested": true}, "op": "ping"})"},
+      {"bad_config_key.json",
+       R"({"op": "evaluate", "config": {"voltage": 5}})"},
+      {"bad_scheme.json",
+       R"({"op": "evaluate", "config": {"scheme": "bogus"}})"},
+      {"bad_sigma.json", R"({"op": "evaluate", "config": {"sigma": -1}})"},
+      {"bad_bits.json",
+       R"({"op": "evaluate", "config": {"cell": "MLC2", "weight_bits": 3}})"},
+      {"bad_split.json",
+       R"({"op": "evaluate", "data": {"split": "validation"}})"},
+      {"bad_batch.json", R"({"op": "evaluate", "batch": 0})"},
+      {"bad_passes.json",
+       R"({"op": "evaluate", "config": {"opt_passes": )"
+       R"("tune_group_size,tune_group_size"}})"},
+      {"bad_array.json", "[1, 2, 3]"},
+      {"bad_not_json.txt", "not json at all"},
+  };
+  for (const auto& [name, text] : seeds) spit(dir / name, std::string(text));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,6 +314,7 @@ int main(int argc, char** argv) {
     make_plan_seeds(root / "fuzz_plan");
     make_json_seeds(root / "fuzz_json");
     make_args_seeds(root / "fuzz_args");
+    make_protocol_seeds(root / "fuzz_protocol");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "make_fuzz_seeds: %s\n", e.what());
     return 1;

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   std::printf("training %s ...\n", a.model.c_str());
   float ideal = 0.0f;
   {
-    obs::TraceSpan t("train_model", "harness", rep.recorder());
+    obs::TraceSpan t("train_model", "harness", rep.metrics());
     nn::SGD opt(net->params(), lr, 0.9f, 1e-4f);
     for (int e = 0; e < epochs; ++e) {
       nn::train_epoch(*net, opt, ds.train(), 32, rng);
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   try {
     core::SchemeResult res;
     {
-      obs::TraceSpan t("deployment", "harness", rep.recorder());
+      obs::TraceSpan t("deployment", "harness", rep.metrics());
       res = core::run_scheme(*net, o, ds.train(), ds.test(), a.repeats);
     }
     std::printf("\naccuracy under variation: %.2f%% (loss vs ideal: %.2f%%)\n",
@@ -171,14 +171,13 @@ int main(int argc, char** argv) {
     }
     rep.results()["per_cycle"] = std::move(per_cycle);
     rep.results()["stats"] = core::deploy_stats_json(res.stats);
-    for (double s : res.trial_seconds) {
-      rep.recorder().observe("trial_seconds", s);
-    }
-    core::add_deploy_phase_times(rep.recorder(), res.stats);
+    obs::Histogram& trial = rep.metrics().histogram("trial_seconds");
+    for (double s : res.trial_seconds) trial.observe(s);
+    core::add_deploy_phase_times(rep.metrics(), res.stats);
 
     // Hardware accounting for the chosen configuration, read off a
     // compiled plan (the network itself is left untouched).
-    obs::TraceSpan t("hardware_accounting", "harness", rep.recorder());
+    obs::TraceSpan t("hardware_accounting", "harness", rep.metrics());
     const core::DeploymentPlan plan = core::compile_plan(*net, o, ds.train());
     const double ratio = plan.assigned_read_power() / plan.plain_read_power();
     std::printf("\ncrossbars (128x128): %lld\n",

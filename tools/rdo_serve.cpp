@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     net->emplace<nn::Dense>(64, 10, rng);
   }
   {
-    obs::TraceSpan t("train_model", "harness", rep.recorder());
+    obs::TraceSpan t("train_model", "harness", rep.metrics());
     nn::SGD opt(net->params(), lr, 0.9f, 1e-4f);
     for (int e = 0; e < a.epochs; ++e) {
       nn::train_epoch(*net, opt, ds.train(), 32, rng);
@@ -402,9 +402,9 @@ int main(int argc, char** argv) {
       .with("plan_evictions", c.plan_evictions);
   if (a.bench) {
     // Fold the live registry (serve_* instruments plus the process-wide
-    // deploy cache counters) into the report's recorder.
-    obs::absorb_metrics(rep.recorder(), svc.metrics());
-    obs::absorb_metrics(rep.recorder(), obs::global_metrics());
+    // deploy cache counters) into the report's registry.
+    rep.metrics().merge(svc.metrics());
+    rep.metrics().merge(obs::global_metrics());
     try {
       const std::string path = rep.write();
       obs::log_info("serve", "wrote bench report").with("path", path);
