@@ -11,6 +11,7 @@
 #include "nn/gemm.h"
 #include "nn/parallel.h"
 #include "rram/crossbar.h"
+#include "rram/programmer.h"
 #include "rram/rlut.h"
 
 using namespace rdo;
@@ -32,18 +33,30 @@ void BM_WeightProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightProgram)->Arg(1)->Arg(2);
 
+/// One programming cycle of a 128x128 MLC2 array (32 weights of 4 cells
+/// per row): the cell values WeightProgrammer::program_cells draws, laid
+/// out row-major as Crossbar::program_values takes them.
+std::vector<double> draw_array_values(Rng& rng, int ctw_stride) {
+  rram::WeightProgrammer prog({rram::CellKind::MLC2, 200.0}, 8, {0.5, 0.0});
+  std::vector<double> values;
+  values.reserve(128 * 128);
+  for (int i = 0; i < 128 * 32; ++i) {
+    for (double c : prog.program_cells((i * ctw_stride) & 255, rng)) {
+      values.push_back(c);
+    }
+  }
+  return values;
+}
+
 void BM_CrossbarProgram(benchmark::State& state) {
   rram::CrossbarConfig cfg;
   cfg.cell = {rram::CellKind::MLC2, 200.0};
-  cfg.variation = {0.5, 0.0};
   rram::Crossbar xb(cfg);
   Rng rng(2);
-  std::vector<int> states(128 * 128);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    states[i] = static_cast<int>(i % 4);
-  }
+  const std::vector<double> values = draw_array_values(rng, 37);
   for (auto _ : state) {
-    xb.program(states, rng);
+    xb.program_values(values);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 128 * 128);
 }
@@ -52,15 +65,10 @@ BENCHMARK(BM_CrossbarProgram);
 void BM_CrossbarVmm(benchmark::State& state) {
   rram::CrossbarConfig cfg;
   cfg.cell = {rram::CellKind::MLC2, 200.0};
-  cfg.variation = {0.5, 0.0};
   cfg.active_wordlines = static_cast<int>(state.range(0));
   rram::Crossbar xb(cfg);
   Rng rng(3);
-  std::vector<int> states(128 * 128);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    states[i] = static_cast<int>((i * 7) % 4);
-  }
-  xb.program(states, rng);
+  xb.program_values(draw_array_values(rng, 7));
   std::vector<double> x(128);
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
   for (auto _ : state) {

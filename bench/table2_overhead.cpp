@@ -35,7 +35,7 @@ int main() {
   std::printf("%-6s %-10s %-12s %-10s %-12s\n", "m", "area/mm2", "area ovh",
               "power/mW", "power ovh");
   for (int m : {16, 128}) {
-    const std::string tag = "m" + std::to_string(m);
+    const std::string tag = std::string("m").append(std::to_string(m));
     try {
       obs::TraceSpan t("overhead_analysis", "harness", rep.metrics());
       auto o = bench_options(core::Scheme::VAWOStar, m, rram::CellKind::MLC2,

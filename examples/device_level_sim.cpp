@@ -2,14 +2,16 @@
 //
 // Everything the accelerator does happens on simulated hardware here:
 // bit-sliced cells in 128x128-class crossbar arrays, per-device
-// variation, group-by-group wordline activation, digital Sum+Multi offset
-// units, complement post-processing, the ISAAC weight shift, and digital
-// ReLU/bias between layers. sim::DeviceSimBackend is the
-// slow-but-faithful counterpart to core::EffectiveWeightBackend: both
-// execute the same compiled core::DeploymentPlan, and the parity test
-// suite proves their deterministic pipeline counters are bit-identical.
+// variation (drawn by the plan's WeightProgrammer, the same cells the
+// effective-weight path sees), group-by-group wordline activation,
+// digital Sum+Multi offset units, complement post-processing, the ISAAC
+// weight shift, and digital ReLU/bias between layers.
+// sim::DeviceSimBackend is the slow-but-faithful counterpart to
+// core::EffectiveWeightBackend: both execute the same compiled
+// core::DeploymentPlan, and the parity test suite proves their
+// deterministic pipeline counters are bit-identical.
 // This example tells the same accuracy story entirely in devices, plus
-// ISAAC bit-serial input streaming and the energy model.
+// one sample's device-level logits and the energy model.
 #include <cstdio>
 
 #include "arch/energy.h"
@@ -83,8 +85,8 @@ int main() {
   std::printf("device-level, VAWO* + PWT:        %.2f%%\n",
               100 * full.evaluate(ds.test()));
 
-  // ISAAC bit-serial input streaming on one sample (layer 0).
-  std::printf("\nbit-serial check (first test sample, layer 0 outputs):\n");
+  // Whole-network device-level logits of one sample.
+  std::printf("\ndevice-level forward (first test sample, logits):\n");
   const std::int64_t sample = ds.test_images.size() / ds.test_images.dim(0);
   std::vector<double> x(static_cast<std::size_t>(sample));
   for (std::int64_t j = 0; j < sample; ++j) {

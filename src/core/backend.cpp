@@ -64,7 +64,8 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     layer_span.arg("weights", static_cast<std::int64_t>(pl.assign.ctw.size()));
     rdo::nn::Rng lrng = rng.split(li);
     ls.crw.resize(pl.assign.ctw.size());
-    if (keep_cells_) ls.cells.resize(pl.assign.ctw.size());
+    const auto cpw = static_cast<std::size_t>(plan_.prog.cells_per_weight());
+    if (keep_cells_) ls.cells.resize(pl.assign.ctw.size() * cpw);
     // Dead columns (eliminate_dead_tiles) are never programmed: the RNG
     // draws are consumed and discarded so every live weight sees exactly
     // the stream it would without the pass, and the column reads back the
@@ -79,15 +80,19 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     }
     std::int64_t live = 0;
     for (std::size_t i = 0; i < pl.assign.ctw.size(); ++i) {
-      std::vector<double> cells =
+      const std::vector<double> cells =
           plan_.prog.program_cells(pl.assign.ctw[i], lrng);
-      if (has_dead && pl.dead_cols[i % cols] != 0) {
+      const bool dead = has_dead && pl.dead_cols[i % cols] != 0;
+      if (keep_cells_) {
+        const std::vector<double>& kept = dead ? ideal_zero : cells;
+        std::copy(kept.begin(), kept.end(),
+                  ls.cells.begin() + static_cast<std::ptrdiff_t>(i * cpw));
+      }
+      if (dead) {
         ls.crw[i] = static_cast<double>(pl.lq.zero);
-        if (keep_cells_) ls.cells[i] = ideal_zero;
         continue;
       }
       ls.crw[i] = plan_.prog.compose(cells);
-      if (keep_cells_) ls.cells[i] = std::move(cells);
       ++live;
     }
     stats_.weights_programmed += live;

@@ -61,10 +61,11 @@ class EffectiveWeightBackend : public ExecutionBackend {
     rdo::nn::MatrixOp* op = nullptr;  ///< into the private twin network
     std::vector<float> offsets;       ///< working offsets (tuned by PWT)
     std::vector<double> crw;          ///< measured CRWs of the current cycle
-    /// Per-weight post-variation cell read values (LSB cell first); kept
-    /// only when constructed with keep_cell_values, so a device-level
-    /// backend can replay the exact same devices onto simulated crossbars.
-    std::vector<std::vector<double>> cells;
+    /// Post-variation cell read values of the current cycle, flat
+    /// [rows*cols*cells_per_weight] (row-major weights, LSB cell first);
+    /// kept only when constructed with keep_cell_values, so a device-level
+    /// backend can program the exact same devices into simulated crossbars.
+    std::vector<double> cells;
   };
 
   /// Clones `src` into a private twin at the plan's quantized operating

@@ -33,8 +33,14 @@ Json BenchReport::document() const {
 
   Json timing = Json::object();
   timing["total_seconds"] = total_.seconds();
+  // Phases are the phase spans (TraceSpan names such as "train_models"
+  // or "deploy:tune"). A latency series carries the _seconds unit suffix
+  // the metric-name lint rule requires of registry histograms
+  // (trial_seconds, serve_request_seconds); it overlaps the phases it
+  // was sampled in, so it is listed under `histograms` only.
   Json phases = Json::array();
   for (const auto& [name, h] : metrics["histograms"].members()) {
+    if (name.ends_with("_seconds")) continue;
     Json p = Json::object();
     p["name"] = name;
     p["seconds"] = *h.find("sum_seconds");

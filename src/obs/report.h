@@ -25,9 +25,11 @@
 //
 // One store feeds the document: the report's MetricsRegistry. Its
 // counters and gauges become the `counters` and `gauges` sections, its
-// histograms the `histograms` section, and each histogram's summed
+// histograms the `histograms` section, and each phase histogram's summed
 // seconds one `timing.phases` entry {name, seconds}. A phase is filled
-// by TraceSpan(name, cat, rep.metrics()) (obs/trace.h).
+// by TraceSpan(name, cat, rep.metrics()) (obs/trace.h) and named after
+// the phase; a histogram named `*_seconds` is a latency series
+// (trial_seconds, serve_request_seconds) and is not a phase.
 #pragma once
 
 #include <cstdint>

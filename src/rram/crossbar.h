@@ -1,31 +1,27 @@
 // Device-level crossbar array simulation.
 //
 // Models the analog substrate a deployment runs on: a rows x cols grid of
-// RRAM cells, programmed with per-cell log-normal variation, read out
-// group-by-group (only `active_wordlines` wordlines are driven per cycle,
-// as in the paper's 128x128 / 16-active configuration) with an optional
-// finite-resolution ADC per group.
+// RRAM cells read out group-by-group (only `active_wordlines` wordlines
+// are driven per cycle, as in the paper's 128x128 / 16-active
+// configuration) with an optional finite-resolution ADC per group.
 //
-// The end-to-end accuracy pipeline composes CRWs directly through
-// WeightProgrammer (numerically identical with an ideal ADC — a property
-// the test suite asserts); this class exists to validate that equivalence,
-// to model ADC effects, and for the micro-benchmarks.
+// The array samples no variation itself: it stores the read value of
+// every cell as programmed by program_values(), and those values are the
+// cell draws of WeightProgrammer::program_cells (variation and stuck-at
+// faults included), the one device model both execution backends share.
+// Until programmed, every cell reads as an ideal HRS device (0).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "nn/rng.h"
 #include "rram/cell.h"
-#include "rram/variation.h"
 
 namespace rdo::rram {
 
 struct CrossbarConfig {
   int rows = 128;
   int cols = 128;
-  CellModel cell;
-  VariationModel variation;
+  CellModel cell;             ///< sets the ADC full scale
   int active_wordlines = 16;  ///< wordlines driven per read cycle
   int adc_bits = 0;           ///< 0 = ideal ADC
 };
@@ -34,27 +30,12 @@ class Crossbar {
  public:
   explicit Crossbar(CrossbarConfig cfg);
 
-  /// Program the whole array from row-major cell states (size rows*cols);
-  /// draws a fresh variation factor per cell (one programming cycle).
-  void program(const std::vector<int>& states, rdo::nn::Rng& rng);
-  /// Program without variation (ideal device oracle).
-  void program_ideal(const std::vector<int>& states);
+  /// Program the whole array from row-major per-cell read values
+  /// (state-units, size rows*cols): one programming cycle.
+  void program_values(const std::vector<double>& values);
 
-  /// Digitized read value of one cell (state-units; exact state if ideal).
+  /// Digitized read value of one cell (state-units).
   [[nodiscard]] double cell_value(int r, int c) const;
-
-  /// Program from explicit per-cell states and variation factors (used by
-  /// the device-level executor to realize per-weight-correlated factors).
-  void program_with_factors(const std::vector<int>& states,
-                            const std::vector<double>& factors);
-
-  /// Program from explicit per-cell read values (state-units), bypassing
-  /// the cell model's state->value mapping. Lets the device level replay
-  /// the exact post-variation (and post-fault) values produced by
-  /// WeightProgrammer::program_cells so both execution backends observe
-  /// bit-identical devices. `states` keeps read-power accounting honest.
-  void program_values(const std::vector<int>& states,
-                      const std::vector<double>& values);
 
   /// y_j = sum_i x_i * cell_value(i, j), computed per activation group and
   /// accumulated digitally, with optional per-group ADC quantization.
@@ -69,17 +50,11 @@ class Crossbar {
   /// Read cycles needed for one VMM (= ceil(rows / active_wordlines)).
   [[nodiscard]] int cycles_per_vmm() const;
 
-  /// Sum of nominal per-cell read powers (state-proportional units).
-  [[nodiscard]] double total_read_power() const;
-
   [[nodiscard]] const CrossbarConfig& config() const { return cfg_; }
 
  private:
   CrossbarConfig cfg_;
-  std::vector<int> states_;     // row-major
-  std::vector<double> factors_; // per-cell e^theta (1.0 until programmed)
-  std::vector<double> values_;  // explicit read values; empty unless
-                                // program_values() was the last programming
+  std::vector<double> values_;  // row-major read values
 
   [[nodiscard]] std::size_t idx(int r, int c) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(cfg_.cols) +

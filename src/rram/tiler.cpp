@@ -26,32 +26,4 @@ TilingInfo compute_tiling(std::int64_t matrix_rows, std::int64_t matrix_cols,
   return t;
 }
 
-std::vector<int> tile_states(const rdo::quant::LayerQuant& lq,
-                             const WeightProgrammer& prog,
-                             const CrossbarConfig& cfg, std::int64_t tr,
-                             std::int64_t tc) {
-  const std::int64_t weights_per_row = cfg.cols / prog.cells_per_weight();
-  std::vector<int> states(
-      static_cast<std::size_t>(cfg.rows) * static_cast<std::size_t>(cfg.cols),
-      0);
-  for (std::int64_t r = 0; r < cfg.rows; ++r) {
-    const std::int64_t mr = tr * cfg.rows + r;
-    if (mr >= lq.rows) break;
-    for (std::int64_t wc = 0; wc < weights_per_row; ++wc) {
-      const std::int64_t mc = tc * weights_per_row + wc;
-      if (mc >= lq.cols) break;
-      const std::vector<int> cells = prog.slice(lq.at(mr, mc));
-      RDO_DCHECK(static_cast<int>(cells.size()) == prog.cells_per_weight(),
-                 "tile_states: slice width mismatch");
-      for (int k = 0; k < prog.cells_per_weight(); ++k) {
-        const std::int64_t col = wc * prog.cells_per_weight() + k;
-        RDO_DCHECK(col < cfg.cols, "tile_states: cell column overflow");
-        states[static_cast<std::size_t>(r * cfg.cols + col)] =
-            cells[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-  return states;
-}
-
 }  // namespace rdo::rram

@@ -2,16 +2,11 @@
 //
 // Each n-bit weight occupies cells_per_weight adjacent bitlines (bit
 // slices); matrix rows are chunked across crossbar wordlines. Used for
-// crossbar-count accounting (Table III) and to drive the device-level
-// Crossbar simulation from a quantized layer.
+// crossbar-count accounting (Table III) and to lay a layer onto the
+// device-level Crossbar arrays (sim::CrossbarLayerExecutor).
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "quant/quantizer.h"
-#include "rram/crossbar.h"
-#include "rram/programmer.h"
 
 namespace rdo::rram {
 
@@ -30,13 +25,5 @@ struct TilingInfo {
 TilingInfo compute_tiling(std::int64_t matrix_rows, std::int64_t matrix_cols,
                           int crossbar_rows, int crossbar_cols,
                           int cells_per_weight);
-
-/// Expand one tile of a quantized layer into crossbar cell states.
-/// Tile (tr, tc) covers matrix rows [tr*R, ...) and weight columns that fit
-/// in the crossbar given the per-weight cell count. Unused cells are 0.
-std::vector<int> tile_states(const rdo::quant::LayerQuant& lq,
-                             const WeightProgrammer& prog,
-                             const CrossbarConfig& cfg, std::int64_t tr,
-                             std::int64_t tc);
 
 }  // namespace rdo::rram

@@ -15,29 +15,17 @@ using rdo::core::group_of_row;
 using rdo::rram::Crossbar;
 
 CrossbarLayerExecutor::CrossbarLayerExecutor(
-    const rdo::quant::LayerQuant& lq, const rdo::core::VawoResult& assign,
-    const ExecutorConfig& cfg, rdo::nn::Rng& rng)
-    : lq_(lq),
-      assign_(assign),
-      cfg_(cfg),
-      prog_(cfg.xbar.cell, cfg.weight_bits, cfg.xbar.variation),
-      offsets_(assign.offsets) {
-  build_tiles(&rng);
-}
-
-CrossbarLayerExecutor::CrossbarLayerExecutor(
-    const rdo::quant::LayerQuant& lq, const rdo::core::VawoResult& assign,
-    const ExecutorConfig& cfg)
-    : lq_(lq),
-      assign_(assign),
-      cfg_(cfg),
-      prog_(cfg.xbar.cell, cfg.weight_bits, cfg.xbar.variation),
-      offsets_(assign.offsets) {
-  build_tiles(nullptr);
-}
-
-void CrossbarLayerExecutor::build_tiles(rdo::nn::Rng* rng) {
-  RDO_CHECK(cfg_.offsets.m % cfg_.xbar.active_wordlines == 0,
+    const rdo::core::PlanLayer& layer,
+    const rdo::rram::WeightProgrammer& prog,
+    const rdo::rram::CrossbarConfig& xbar)
+    : layer_(layer), prog_(prog), xbar_(xbar) {
+  const rdo::quant::LayerQuant& lq = layer_.lq;
+  RDO_CHECK(xbar_.cell.states() == prog_.cell().states(),
+            "CrossbarLayerExecutor: crossbar cells hold " +
+                std::to_string(xbar_.cell.states()) +
+                " states, the programmer's " +
+                std::to_string(prog_.cell().states()));
+  RDO_CHECK(layer_.m % xbar_.active_wordlines == 0,
             "CrossbarLayerExecutor: m must be a multiple of the activated "
             "wordlines (paper Sec. III-A)");
   // A value like m = 96 on 128-row crossbars would let one offset
@@ -45,153 +33,104 @@ void CrossbarLayerExecutor::build_tiles(rdo::nn::Rng* rng) {
   // offset register across two physical tiles — the forward pass would
   // then apply one tile's group offset to rows belonging to the next
   // group (violates the Sec. III-A geometry, src/core/offset.h).
-  RDO_CHECK(cfg_.xbar.rows % cfg_.offsets.m == 0,
+  RDO_CHECK(xbar_.rows % layer_.m == 0,
             "CrossbarLayerExecutor: crossbar rows must be a multiple of m "
             "so offset groups never straddle a row-tile boundary (paper "
             "Sec. III-A)");
-  RDO_CHECK(assign_.ctw.size() == lq_.q.size(),
-            "CrossbarLayerExecutor: " + std::to_string(assign_.ctw.size()) +
-                " assigned CTWs for " + std::to_string(lq_.q.size()) +
+  RDO_CHECK(layer_.assign.ctw.size() == lq.q.size(),
+            "CrossbarLayerExecutor: " +
+                std::to_string(layer_.assign.ctw.size()) +
+                " assigned CTWs for " + std::to_string(lq.q.size()) +
                 " quantized weights");
-  tiling_ = rdo::rram::compute_tiling(lq_.rows, lq_.cols, cfg_.xbar.rows,
-                                      cfg_.xbar.cols,
-                                      prog_.cells_per_weight());
+  // Reject a CTW the cells cannot hold now rather than at the first
+  // programming cycle: a corrupt plan never reaches the devices.
+  for (int v : layer_.assign.ctw) {
+    RDO_CHECK(v >= 0 && v <= prog_.max_weight(),
+              "CrossbarLayerExecutor: CTW " + std::to_string(v) +
+                  " outside [0, " + std::to_string(prog_.max_weight()) + "]");
+  }
+  tiling_ = rdo::rram::compute_tiling(lq.rows, lq.cols, xbar_.rows,
+                                      xbar_.cols, prog_.cells_per_weight());
   rdo::obs::TraceSpan span("sim:build_layer", "sim");
-  span.arg("rows", lq_.rows);
-  span.arg("cols", lq_.cols);
-  span.arg("m", cfg_.offsets.m);
-  span.arg("groups", assign_.groups_per_col);
+  span.arg("rows", lq.rows);
+  span.arg("cols", lq.cols);
+  span.arg("m", layer_.m);
+  span.arg("groups", layer_.assign.groups_per_col);
   span.arg("row_tiles", tiling_.row_tiles);
   span.arg("col_tiles", tiling_.col_tiles);
-  // Program each tile: cell states from the CTWs, variation factors drawn
-  // per weight (PerWeight scope: all cells of a weight share the factor)
-  // or per cell (PerCell scope).
-  const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
-  rdo::quant::LayerQuant ctw_view = lq_;
-  ctw_view.q = assign_.ctw;
-  for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
-    for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
-      rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
-      tile_span.arg("tr", tr);
-      tile_span.arg("tc", tc);
-      std::vector<int> states =
-          rdo::rram::tile_states(ctw_view, prog_, cfg_.xbar, tr, tc);
-      Crossbar xb(cfg_.xbar);
-      if (rng == nullptr) {
-        xb.program_ideal(states);
-        xbars_.push_back(std::move(xb));
-        continue;
-      }
-      std::vector<double> factors(states.size(), 1.0);
-      for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
-        const std::int64_t mr = tr * cfg_.xbar.rows + r;
-        if (mr >= lq_.rows) break;
-        for (std::int64_t wc = 0; wc < wpr; ++wc) {
-          const std::int64_t mc = tc * wpr + wc;
-          if (mc >= lq_.cols) break;
-          if (cfg_.xbar.variation.scope ==
-              rdo::rram::VariationScope::PerWeight) {
-            const double f = cfg_.xbar.variation.sample_factor(*rng);
-            for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-              factors[static_cast<std::size_t>(
-                  r * cfg_.xbar.cols + wc * prog_.cells_per_weight() + k)] =
-                  f;
-            }
-          } else {
-            for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-              factors[static_cast<std::size_t>(
-                  r * cfg_.xbar.cols + wc * prog_.cells_per_weight() + k)] =
-                  cfg_.xbar.variation.sample_factor(*rng);
-            }
-          }
-        }
-      }
-      xb.program_with_factors(states, factors);
-      xbars_.push_back(std::move(xb));
-    }
-  }
+  xbars_.assign(static_cast<std::size_t>(tiling_.total_crossbars()),
+                Crossbar(xbar_));
 }
 
 void CrossbarLayerExecutor::program_cell_values(
-    const std::vector<std::vector<double>>& cells) {
-  RDO_CHECK(cells.size() == lq_.q.size(),
+    const std::vector<double>& cells) {
+  const rdo::quant::LayerQuant& lq = layer_.lq;
+  const auto cpw = static_cast<std::size_t>(prog_.cells_per_weight());
+  RDO_CHECK(cells.size() == lq.q.size() * cpw,
             "program_cell_values: " + std::to_string(cells.size()) +
-                " cell vectors for " + std::to_string(lq_.q.size()) +
-                " weights");
-  const int cpw = prog_.cells_per_weight();
-  const std::int64_t wpr = cfg_.xbar.cols / cpw;
-  rdo::quant::LayerQuant ctw_view = lq_;
-  ctw_view.q = assign_.ctw;
+                " cell values for " + std::to_string(lq.q.size()) +
+                " weights of " + std::to_string(cpw) + " cells");
+  const std::int64_t wpr = xbar_.cols / prog_.cells_per_weight();
   // Padding cells (beyond the layer's rows/cols) read as an ideally
-  // programmed HRS device, matching the variation-drawn programming path.
-  const double pad = cfg_.xbar.cell.read_value(0, 1.0);
+  // programmed HRS device.
+  std::vector<double> values;
   for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
     for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
       rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
       tile_span.arg("tr", tr);
       tile_span.arg("tc", tc);
-      std::vector<int> states =
-          rdo::rram::tile_states(ctw_view, prog_, cfg_.xbar, tr, tc);
-      std::vector<double> values(states.size(), pad);
-      for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
-        const std::int64_t mr = tr * cfg_.xbar.rows + r;
-        if (mr >= lq_.rows) break;
-        for (std::int64_t wc = 0; wc < wpr; ++wc) {
-          const std::int64_t mc = tc * wpr + wc;
-          if (mc >= lq_.cols) break;
-          const std::vector<double>& cv =
-              cells[static_cast<std::size_t>(mr * lq_.cols + mc)];
-          RDO_CHECK(cv.size() == static_cast<std::size_t>(cpw),
-                    "program_cell_values: cells-per-weight mismatch");
-          for (int k = 0; k < cpw; ++k) {
-            values[static_cast<std::size_t>(r * cfg_.xbar.cols +
-                                            wc * cpw + k)] =
-                cv[static_cast<std::size_t>(k)];
-          }
-        }
+      values.assign(static_cast<std::size_t>(xbar_.rows) * xbar_.cols, 0.0);
+      for (std::int64_t r = 0; r < xbar_.rows; ++r) {
+        const std::int64_t mr = tr * xbar_.rows + r;
+        if (mr >= lq.rows) break;
+        const std::int64_t c0 = tc * wpr;
+        const std::int64_t n = std::min<std::int64_t>(wpr, lq.cols - c0);
+        // The weights of one tile row are adjacent in both layouts.
+        const auto src = cells.begin() + static_cast<std::ptrdiff_t>(
+                                             (mr * lq.cols + c0) * cpw);
+        std::copy(src, src + static_cast<std::ptrdiff_t>(n * cpw),
+                  values.begin() +
+                      static_cast<std::ptrdiff_t>(r * xbar_.cols));
       }
       xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
-          .program_values(states, values);
+          .program_values(values);
     }
   }
 }
 
-void CrossbarLayerExecutor::set_offsets(std::vector<float> offsets) {
-  RDO_CHECK(offsets.size() == offsets_.size(),
-            "set_offsets: " + std::to_string(offsets.size()) +
-                " offsets for " + std::to_string(offsets_.size()) +
-                " registers");
-  offsets_ = std::move(offsets);
-}
-
 std::vector<double> CrossbarLayerExecutor::forward(
-    const std::vector<double>& x) const {
-  RDO_CHECK(static_cast<std::int64_t>(x.size()) == lq_.rows,
+    const std::vector<double>& x, const std::vector<float>& offsets) const {
+  const rdo::quant::LayerQuant& lq = layer_.lq;
+  RDO_CHECK(static_cast<std::int64_t>(x.size()) == lq.rows,
             "CrossbarLayerExecutor::forward: input length " +
                 std::to_string(x.size()) + " for " +
-                std::to_string(lq_.rows) + " rows");
-  const std::int64_t cols = lq_.cols;
-  const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
+                std::to_string(lq.rows) + " rows");
+  RDO_CHECK(offsets.size() == layer_.assign.offsets.size(),
+            "CrossbarLayerExecutor::forward: " +
+                std::to_string(offsets.size()) + " offsets for " +
+                std::to_string(layer_.assign.offsets.size()) + " registers");
+  const std::int64_t cols = lq.cols;
+  const std::int64_t wpr = xbar_.cols / prog_.cells_per_weight();
   const double maxw = static_cast<double>(prog_.max_weight());
   std::vector<double> y_int(static_cast<std::size_t>(cols), 0.0);
   double sum_x_total = 0.0;
   for (double v : x) sum_x_total += v;
 
-  std::vector<double> x_slice(static_cast<std::size_t>(cfg_.xbar.rows), 0.0);
+  std::vector<double> x_slice(static_cast<std::size_t>(xbar_.rows), 0.0);
   for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
-    const std::int64_t row_base = tr * cfg_.xbar.rows;
+    const std::int64_t row_base = tr * xbar_.rows;
     const std::int64_t rows_here =
-        std::min<std::int64_t>(cfg_.xbar.rows, lq_.rows - row_base);
+        std::min<std::int64_t>(xbar_.rows, lq.rows - row_base);
     std::fill(x_slice.begin(), x_slice.end(), 0.0);
     for (std::int64_t r = 0; r < rows_here; ++r) {
       x_slice[static_cast<std::size_t>(r)] =
           x[static_cast<std::size_t>(row_base + r)];
     }
     // One digital offset group = m consecutive wordlines of one column.
-    for (std::int64_t g0 = 0; g0 < rows_here; g0 += cfg_.offsets.m) {
+    for (std::int64_t g0 = 0; g0 < rows_here; g0 += layer_.m) {
       const std::int64_t g1 =
-          std::min<std::int64_t>(rows_here, g0 + cfg_.offsets.m);
-      const std::int64_t group = group_of_row(row_base + g0, cfg_.offsets.m);
+          std::min<std::int64_t>(rows_here, g0 + layer_.m);
+      const std::int64_t group = group_of_row(row_base + g0, layer_.m);
       double sum_x_g = 0.0;  // the digital Sum unit
       for (std::int64_t r = g0; r < g1; ++r) {
         sum_x_g += x_slice[static_cast<std::size_t>(r)];
@@ -210,14 +149,14 @@ std::vector<double> CrossbarLayerExecutor::forward(
             z += radix *
                  cell_sums[static_cast<std::size_t>(
                      wc * prog_.cells_per_weight() + k)];
-            radix *= cfg_.xbar.cell.radix();
+            radix *= xbar_.cell.radix();
           }
           const std::size_t gi = static_cast<std::size_t>(group * cols + col);
           // Digital offset unit: + b * sum(x)  (Eq. 1).
-          const double zc = z + offsets_[gi] * sum_x_g;
+          const double zc = z + offsets[gi] * sum_x_g;
           // Complement post-processing (Sec. III-C).
           y_int[static_cast<std::size_t>(col)] +=
-              assign_.complemented[gi] ? maxw * sum_x_g - zc : zc;
+              layer_.assign.complemented[gi] ? maxw * sum_x_g - zc : zc;
         }
       }
     }
@@ -226,14 +165,15 @@ std::vector<double> CrossbarLayerExecutor::forward(
   std::vector<double> y(static_cast<std::size_t>(cols));
   for (std::int64_t c = 0; c < cols; ++c) {
     y[static_cast<std::size_t>(c)] =
-        lq_.scale * (y_int[static_cast<std::size_t>(c)] -
-                     static_cast<double>(lq_.zero) * sum_x_total);
+        lq.scale * (y_int[static_cast<std::size_t>(c)] -
+                    static_cast<double>(lq.zero) * sum_x_total);
   }
   return y;
 }
 
 std::vector<double> CrossbarLayerExecutor::forward_bit_serial(
-    const std::vector<double>& x, int input_bits, double x_max) const {
+    const std::vector<double>& x, const std::vector<float>& offsets,
+    int input_bits, double x_max) const {
   RDO_CHECK(input_bits >= 1 && input_bits <= 16 && x_max > 0.0,
             "forward_bit_serial: bad input format (bits = " +
                 std::to_string(input_bits) + ")");
@@ -252,13 +192,13 @@ std::vector<double> CrossbarLayerExecutor::forward_bit_serial(
     const double q = std::round(x[i] / x_max * levels);
     xq[i] = static_cast<int>(std::clamp(q, 0.0, static_cast<double>(levels)));
   }
-  std::vector<double> acc(static_cast<std::size_t>(lq_.cols), 0.0);
+  std::vector<double> acc(static_cast<std::size_t>(layer_.lq.cols), 0.0);
   std::vector<double> xbit(x.size());
   for (int b = 0; b < input_bits; ++b) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       xbit[i] = static_cast<double>((xq[i] >> b) & 1);
     }
-    const std::vector<double> partial = forward(xbit);
+    const std::vector<double> partial = forward(xbit, offsets);
     const double weight = static_cast<double>(1 << b);  // shift-and-add
     for (std::size_t c = 0; c < acc.size(); ++c) {
       acc[c] += weight * partial[c];
@@ -268,28 +208,6 @@ std::vector<double> CrossbarLayerExecutor::forward_bit_serial(
   const double rescale = x_max / static_cast<double>(levels);
   for (auto& v : acc) v *= rescale;
   return acc;
-}
-
-std::vector<double> CrossbarLayerExecutor::measure_crw() const {
-  rdo::obs::TraceSpan span("sim:measure_crw", "sim");
-  const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
-  std::vector<double> crw(static_cast<std::size_t>(lq_.rows * lq_.cols));
-  for (std::int64_t r = 0; r < lq_.rows; ++r) {
-    const std::int64_t tr = r / cfg_.xbar.rows;
-    const int lr = static_cast<int>(r % cfg_.xbar.rows);
-    for (std::int64_t c = 0; c < lq_.cols; ++c) {
-      const std::int64_t tc = c / wpr;
-      const std::int64_t wc = c % wpr;
-      std::vector<double> vals(
-          static_cast<std::size_t>(prog_.cells_per_weight()));
-      for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-        vals[static_cast<std::size_t>(k)] = xbar_at(tr, tc).cell_value(
-            lr, static_cast<int>(wc * prog_.cells_per_weight() + k));
-      }
-      crw[static_cast<std::size_t>(r * lq_.cols + c)] = prog_.compose(vals);
-    }
-  }
-  return crw;
 }
 
 }  // namespace rdo::sim

@@ -1,70 +1,60 @@
 // Device-level execution of one crossbar-mapped layer.
 //
-// This is the hardware-faithful reference path: the quantized layer is
-// tiled onto 128x128 Crossbar arrays (bit-sliced cells, per-device
-// variation, wordline-activation groups, optional finite-resolution ADC),
-// the digital offset units compute b * sum(x) per group, the complement
-// post-processing applies (2^n - 1) * sum(x) - z', and the ISAAC weight
-// shift subtracts zero * sum(x).
+// This is the hardware-faithful reference path: a plan layer's CTWs are
+// tiled onto Crossbar arrays (bit-sliced cells, wordline-activation
+// groups, optional finite-resolution ADC), the digital offset units
+// compute b * sum(x) per group, the complement post-processing applies
+// (2^n - 1) * sum(x) - z', and the ISAAC weight shift subtracts
+// zero * sum(x).
 //
-// The fast path used by core::Deployment absorbs all of this into
-// effective weights; tests/test_sim.cpp proves the two paths agree on the
-// same measured CRWs (exactly with an ideal ADC, boundedly with a real
-// one), which is what licenses the fast path for the accuracy benches.
+// The executor draws no variation and copies no plan data: the cells it
+// programs are WeightProgrammer::program_cells draws (the one device
+// model, stuck-at faults included), it reads the CTWs, complement flags
+// and geometry from the PlanLayer in place, and every forward takes the
+// offset registers from its caller (sim::DeviceSimBackend passes the
+// engine's working offsets). tests/test_sim.cpp proves this path equals
+// the effective-weight computation on the same cells (exactly with an
+// ideal ADC, boundedly with a real one), which licenses the fast path
+// for the accuracy benches.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/vawo.h"
-#include "nn/rng.h"
-#include "quant/quantizer.h"
+#include "core/plan.h"
 #include "rram/crossbar.h"
 #include "rram/programmer.h"
 #include "rram/tiler.h"
 
 namespace rdo::sim {
 
-struct ExecutorConfig {
-  rdo::rram::CrossbarConfig xbar;  ///< geometry, cell, variation, ADC
-  rdo::core::OffsetConfig offsets;
-  int weight_bits = 8;
-};
-
 class CrossbarLayerExecutor {
  public:
-  /// Tiles `lq` onto crossbars and programs every device once (one CCV
-  /// cycle drawn from `rng`). `assign` supplies CTWs, offsets and
-  /// complement flags (use core::plain_layer for the plain scheme).
-  CrossbarLayerExecutor(const rdo::quant::LayerQuant& lq,
-                        const rdo::core::VawoResult& assign,
-                        const ExecutorConfig& cfg, rdo::nn::Rng& rng);
+  /// Tiles `layer` onto crossbars of geometry `xbar` (whose cell model
+  /// must be `prog`'s). `layer` and `prog` are read in place and must
+  /// outlive the executor. Every cell reads as ideal HRS until
+  /// program_cell_values(). Throws std::invalid_argument on an offset
+  /// geometry the arrays cannot realize or a CTW outside the weight range.
+  CrossbarLayerExecutor(const rdo::core::PlanLayer& layer,
+                        const rdo::rram::WeightProgrammer& prog,
+                        const rdo::rram::CrossbarConfig& xbar);
 
-  /// Same tiling, but programs every device ideally (no variation draw).
-  /// Used by the device backend, which replays externally drawn cell
-  /// values per programming cycle via program_cell_values().
-  CrossbarLayerExecutor(const rdo::quant::LayerQuant& lq,
-                        const rdo::core::VawoResult& assign,
-                        const ExecutorConfig& cfg);
+  /// Program every device from flat per-weight cell read values
+  /// ([rows*cols*cells_per_weight], row-major weights, LSB cell first) —
+  /// the exact outputs of WeightProgrammer::program_cells, so the device
+  /// level observes bit-identical conductances to the effective-weight
+  /// path. Padding cells read as ideal HRS.
+  void program_cell_values(const std::vector<double>& cells);
 
-  /// Re-program every device from explicit per-weight cell read values
-  /// (row-major [rows*cols], each entry cells_per_weight values, LSB cell
-  /// first) — the exact outputs of WeightProgrammer::program_cells, so
-  /// the device level observes bit-identical conductances to the
-  /// effective-weight path. Padding cells read as ideal HRS.
-  void program_cell_values(
-      const std::vector<std::vector<double>>& cells);
-
-  /// Device-level forward: x has lq.rows entries (activation units);
-  /// returns lq.cols effective (dequantized) outputs.
+  /// Device-level forward: x has lq.rows entries (activation units),
+  /// `offsets` one register per offset group (the layer's assign.offsets
+  /// layout); returns lq.cols effective (dequantized) outputs.
   ///
-  /// Thread safety: const and touches only state that is immutable after
-  /// construction (crossbar cells, CTWs, offsets), so any number of
-  /// threads may call forward()/forward_bit_serial()/measure_crw()
-  /// concurrently. set_offsets() is the only mutator and must not race
-  /// with concurrent forwards.
+  /// Thread safety: const, and reads only the programmed cells and the
+  /// caller's offsets, so any number of threads may call
+  /// forward()/forward_bit_serial() concurrently between programmings.
   [[nodiscard]] std::vector<double> forward(
-      const std::vector<double>& x) const;
+      const std::vector<double>& x, const std::vector<float>& offsets) const;
 
   /// ISAAC bit-serial forward: inputs are quantized to `input_bits`
   /// levels over [0, x_max] and streamed one bit per read pass; partial
@@ -72,40 +62,24 @@ class CrossbarLayerExecutor {
   /// with an ideal ADC this equals forward() on the quantized inputs —
   /// asserted by the test suite.
   [[nodiscard]] std::vector<double> forward_bit_serial(
-      const std::vector<double>& x, int input_bits, double x_max) const;
+      const std::vector<double>& x, const std::vector<float>& offsets,
+      int input_bits, double x_max) const;
 
-  /// One read pass over every device: the composed CRW of each weight
-  /// (row-major [rows*cols]) — the measurement PWT requires.
-  [[nodiscard]] std::vector<double> measure_crw() const;
-
-  /// Replace the working offsets (e.g. after PWT).
-  void set_offsets(std::vector<float> offsets);
-
-  [[nodiscard]] const rdo::rram::TilingInfo& tiling() const {
-    return tiling_;
-  }
   [[nodiscard]] std::int64_t crossbar_count() const {
     return static_cast<std::int64_t>(xbars_.size());
   }
 
  private:
-  rdo::quant::LayerQuant lq_;
-  rdo::core::VawoResult assign_;
-  ExecutorConfig cfg_;
-  rdo::rram::WeightProgrammer prog_;
+  const rdo::core::PlanLayer& layer_;
+  const rdo::rram::WeightProgrammer& prog_;
+  rdo::rram::CrossbarConfig xbar_;
   rdo::rram::TilingInfo tiling_;
   std::vector<rdo::rram::Crossbar> xbars_;  // row-major [row_tile][col_tile]
-  std::vector<float> offsets_;
 
   [[nodiscard]] const rdo::rram::Crossbar& xbar_at(std::int64_t tr,
                                                    std::int64_t tc) const {
     return xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)];
   }
-
-  /// Shared ctor body: validate geometry, tile and program each device —
-  /// with per-weight/per-cell variation drawn from `rng`, or ideally when
-  /// `rng` is null.
-  void build_tiles(rdo::nn::Rng* rng);
 };
 
 }  // namespace rdo::sim

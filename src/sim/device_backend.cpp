@@ -25,17 +25,13 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
     : engine_(plan, src, /*keep_cell_values=*/true),
       plan_(plan),
       dopt_(dopt) {
-  // Device substrate: geometry from dopt, device physics and offset
-  // configuration from the shared plan.
-  ExecutorConfig cfg;
-  cfg.xbar.rows = dopt_.xbar_rows;
-  cfg.xbar.cols = dopt_.xbar_cols;
-  cfg.xbar.cell = plan_.opt.cell;
-  cfg.xbar.variation = plan_.opt.variation;
-  cfg.xbar.active_wordlines = dopt_.active_wordlines;
-  cfg.xbar.adc_bits = dopt_.adc_bits;
-  cfg.offsets = plan_.opt.offsets;
-  cfg.weight_bits = plan_.opt.weight_bits;
+  // Array geometry from dopt; the cell model is the plan's programmer's.
+  rdo::rram::CrossbarConfig xbar;
+  xbar.rows = dopt_.xbar_rows;
+  xbar.cols = dopt_.xbar_cols;
+  xbar.cell = plan_.prog.cell();
+  xbar.active_wordlines = dopt_.active_wordlines;
+  xbar.adc_bits = dopt_.adc_bits;
 
   // Walk the engine's twin (same topology as `src`, already moved to the
   // plan's quantized + calibrated operating point) in definition order
@@ -91,12 +87,8 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
     stage.plan_index = mi;
     const rdo::core::PlanLayer& pl = plan_.layers[mi];
     ++mi;
-    // Per-layer executor config: the tune_group_size pass may have raised
-    // this layer's offset-group size above the global opt.offsets.m.
-    ExecutorConfig lcfg = cfg;
-    lcfg.offsets.m = pl.m;
-    stage.exec = std::make_unique<CrossbarLayerExecutor>(pl.lq, pl.assign,
-                                                         lcfg);
+    stage.exec =
+        std::make_unique<CrossbarLayerExecutor>(pl, plan_.prog, xbar);
     stage.bias.assign(static_cast<std::size_t>(pl.fan_out), 0.0f);
     if (bias_param != nullptr && bias_param->value.size() == pl.fan_out) {
       for (std::int64_t c = 0; c < pl.fan_out; ++c) {
@@ -109,31 +101,20 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
             "DeviceSimBackend: network does not match the plan");
 }
 
-void DeviceSimBackend::sync_devices() {
-  const std::vector<rdo::core::EffectiveWeightBackend::LayerState>& states =
-      engine_.layers();
+void DeviceSimBackend::program_cycle(std::uint64_t cycle_salt) {
+  deployed_ = false;  // a throwing cycle leaves the devices unusable
+  engine_.program_cycle(cycle_salt);
   for (Stage& s : stages_) {
     if (!s.exec) continue;
-    s.exec->program_cell_values(states[s.plan_index].cells);
-    s.exec->set_offsets(states[s.plan_index].offsets);
+    s.exec->program_cell_values(engine_.layers()[s.plan_index].cells);
   }
-}
-
-void DeviceSimBackend::program_cycle(std::uint64_t cycle_salt) {
-  engine_.program_cycle(cycle_salt);
-  sync_devices();
   deployed_ = true;
 }
 
 void DeviceSimBackend::tune(const rdo::nn::DataView& train) {
+  // Tuning moves only the engine's offsets, which every stage reads in
+  // place; the devices themselves are untouched.
   engine_.tune(train);
-  if (!rdo::core::scheme_uses_pwt(plan_.opt.scheme)) return;
-  // Install the tuned (register-snapped) offsets into the digital offset
-  // units; the devices themselves are untouched by tuning.
-  for (Stage& s : stages_) {
-    if (!s.exec) continue;
-    s.exec->set_offsets(engine_.layers()[s.plan_index].offsets);
-  }
 }
 
 std::vector<double> DeviceSimBackend::forward(
@@ -144,6 +125,9 @@ std::vector<double> DeviceSimBackend::forward(
 std::vector<double> DeviceSimBackend::forward_image(
     const std::vector<double>& x, int channels, int height,
     int width) const {
+  RDO_CHECK(deployed_, "DeviceSimBackend: program_cycle() first");
+  const std::vector<rdo::core::EffectiveWeightBackend::LayerState>& states =
+      engine_.layers();
   std::vector<double> h = x;
   int c = channels, hh = height, ww = width;
   for (const Stage& s : stages_) {
@@ -215,7 +199,8 @@ std::vector<double> DeviceSimBackend::forward_image(
                       cols[static_cast<std::size_t>(p) * fin +
                            static_cast<std::size_t>(j)];
                 }
-                const std::vector<double> out = s.exec->forward(row);
+                const std::vector<double> out =
+                    s.exec->forward(row, states[s.plan_index].offsets);
                 for (std::int64_t k = 0; k < oc; ++k) {
                   y[static_cast<std::size_t>(k * oh * ow + p)] =
                       out[static_cast<std::size_t>(k)] +
@@ -234,7 +219,8 @@ std::vector<double> DeviceSimBackend::forward_image(
         rdo::obs::TraceSpan stage_span("sim:crossbar_stage", "sim");
         stage_span.arg("rows", pl.lq.rows);
         stage_span.arg("cols", pl.lq.cols);
-        std::vector<double> y = s.exec->forward(h);
+        std::vector<double> y =
+            s.exec->forward(h, states[s.plan_index].offsets);
         for (std::size_t k = 0; k < y.size(); ++k) y[k] += s.bias[k];
         h = std::move(y);
         c = 0;  // now a flat vector

@@ -12,11 +12,14 @@
 // core::EffectiveWeightBackend and supports the plan's full scheme matrix
 // including gradient PWT: it embeds an effective-weight engine (which is
 // numerically equivalent with an ideal ADC — a property the parity suite
-// asserts) to draw each cycle's per-cell conductances and to run PWT,
-// then replays the exact same cell values and tuned offsets onto the
-// simulated crossbars. Deterministic DeployStats counters are therefore
-// bit-identical across backends; only the ADC model and floating-point
-// summation order can move the reported accuracy.
+// asserts) to run PWT and to draw each cycle's per-cell conductances.
+// Device variation is drawn only there, by WeightProgrammer::program_cells;
+// program_cycle() programs exactly those cell values into the simulated
+// crossbars, and every stage reads its plan layer and the engine's
+// working offsets in place, so there is one copy of each. Deterministic
+// DeployStats counters are therefore bit-identical across backends; only
+// the ADC model and floating-point summation order can move the reported
+// accuracy.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,8 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
   /// plan's seeded stream and programs them into the simulated crossbars.
   void program_cycle(std::uint64_t cycle_salt) override;
   /// PWT on the cycle's measured conductances (runs the gradient loop on
-  /// the numerically-equivalent effective-weight twin, then installs the
-  /// tuned offsets into the digital offset units).
+  /// the numerically-equivalent effective-weight twin, whose tuned
+  /// offsets the digital offset units read).
   void tune(const rdo::nn::DataView& train) override;
   /// Device-level test accuracy. Images classify in parallel across the
   /// nn/parallel.h pool; bit-identical for any thread count.
@@ -68,11 +71,13 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
   [[nodiscard]] const char* name() const override { return "device-sim"; }
 
   /// Device-level logits for one flat sample (MLPs; no conv stages).
+  /// Like evaluate(), throws until program_cycle() has run.
   [[nodiscard]] std::vector<double> forward(
       const std::vector<double>& x) const;
   /// Device-level logits for one image of the given shape (CNNs).
   /// Thread-safe: const, and every stage reads only state frozen since
-  /// the last program_cycle()/tune().
+  /// the last program_cycle()/tune(). Throws until program_cycle() has
+  /// run.
   [[nodiscard]] std::vector<double> forward_image(
       const std::vector<double>& x, int channels, int height,
       int width) const;
@@ -92,7 +97,7 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
     int pool_window = 2;                  // MaxPool stages
   };
 
-  rdo::core::EffectiveWeightBackend engine_;  ///< draws devices, runs PWT
+  rdo::core::EffectiveWeightBackend engine_;  ///< draws cells, owns offsets
   const rdo::core::DeploymentPlan& plan_;
   DeviceSimOptions dopt_;
   std::vector<Stage> stages_;
@@ -100,9 +105,6 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
   mutable rdo::core::DeployStats merged_;    ///< engine + eval, see stats()
   bool deployed_ = false;
 
-  /// Replay the engine's current cell values and offsets onto the
-  /// simulated crossbars.
-  void sync_devices();
   [[nodiscard]] float device_accuracy(const rdo::nn::DataView& test,
                                       std::int64_t max_samples) const;
 };

@@ -168,17 +168,18 @@ TEST(Equivalence, ComplementIdentityOnDeviceLevelCrossbar) {
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
 
   auto dot_via_crossbar = [&](const std::vector<int>& weights) {
-    std::vector<int> states(8 * 32, 0);
+    std::vector<double> values(8 * 32, 0.0);  // unused cells: ideal HRS
     for (int i = 0; i < 8; ++i) {
-      const auto cells = prog.slice(weights[static_cast<std::size_t>(i)]);
+      const auto cells =
+          prog.program_cells(weights[static_cast<std::size_t>(i)], rng);
       for (int k = 0; k < 4; ++k) {
         // weight i occupies columns 4i..4i+3, all rows -> row i only here
-        states[static_cast<std::size_t>(i * 32 + i * 4 + k)] =
+        values[static_cast<std::size_t>(i * 32 + i * 4 + k)] =
             cells[static_cast<std::size_t>(k)];
       }
     }
     rram::Crossbar xb(cfg);
-    xb.program_ideal(states);
+    xb.program_values(values);
     const auto y = xb.vmm(x);
     double z = 0.0;
     for (int i = 0; i < 8; ++i) {

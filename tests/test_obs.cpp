@@ -150,9 +150,10 @@ TEST(Json, FileRoundTrip) {
 TEST(BenchReport, PhasesCountersAndGaugesComeFromOneRegistry) {
   rdo::obs::BenchReport rep("unit_test", 1);
   rdo::obs::MetricsRegistry& m = rep.metrics();
-  m.histogram("bench_beta_seconds").observe(0.25);
-  m.histogram("bench_alpha_seconds").observe(1.5);
-  m.histogram("bench_alpha_seconds").observe(0.5);
+  { rdo::obs::TraceSpan phase("bench_beta", "harness", m); }
+  { rdo::obs::TraceSpan phase("bench_alpha", "harness", m); }
+  { rdo::obs::TraceSpan phase("bench_alpha", "harness", m); }
+  m.histogram("bench_trial_seconds").observe(0.75);
   m.counter("bench_widgets").add();
   m.counter("bench_widgets").add(4);
   m.gauge("bench_ratio").set(0.75);
@@ -161,16 +162,23 @@ TEST(BenchReport, PhasesCountersAndGaugesComeFromOneRegistry) {
             "{\"counters\":{\"bench_widgets\":5},"
             "\"gauges\":{\"bench_ratio\":0.5},"
             "\"results\":{},\"failures\":[]}");
-  // Every histogram is a phase: its summed seconds, in name order.
+  // Every phase span is a phase: its summed seconds, in name order. The
+  // _seconds latency series is listed under `histograms` only, so no wall
+  // time is counted twice.
   const Json doc = rep.document();
   const Json* phases = doc.find("timing")->find("phases");
+  const Json* hists = doc.find("histograms");
   ASSERT_EQ(phases->size(), 2u);
-  EXPECT_EQ(phases->at(0).find("name")->as_string(), "bench_alpha_seconds");
-  EXPECT_DOUBLE_EQ(phases->at(0).find("seconds")->as_double(), 2.0);
-  EXPECT_EQ(phases->at(1).find("name")->as_string(), "bench_beta_seconds");
-  EXPECT_DOUBLE_EQ(phases->at(1).find("seconds")->as_double(), 0.25);
-  const Json* alpha = doc.find("histograms")->find("bench_alpha_seconds");
-  EXPECT_EQ(alpha->find("count")->as_int(), 2);
+  EXPECT_EQ(phases->at(0).find("name")->as_string(), "bench_alpha");
+  EXPECT_EQ(phases->at(0).find("seconds")->as_double(),
+            hists->find("bench_alpha")->find("sum_seconds")->as_double());
+  EXPECT_EQ(phases->at(1).find("name")->as_string(), "bench_beta");
+  EXPECT_EQ(phases->at(1).find("seconds")->as_double(),
+            hists->find("bench_beta")->find("sum_seconds")->as_double());
+  EXPECT_EQ(hists->find("bench_alpha")->find("count")->as_int(), 2);
+  const Json* trial = hists->find("bench_trial_seconds");
+  ASSERT_NE(trial, nullptr);
+  EXPECT_DOUBLE_EQ(trial->find("sum_seconds")->as_double(), 0.75);
 }
 
 TEST(BenchReport, DocumentValidatesAgainstSchema) {

@@ -141,7 +141,7 @@ TEST(Programmer, ProgramWithDdvRejectsWrongThetaCount) {
   WeightProgrammer p(kSlc, 8, {0.5, 0.5});
   Rng rng(5);
   std::vector<double> ddv(3);
-  EXPECT_THROW(p.program_with_ddv(10, ddv, rng), std::invalid_argument);
+  EXPECT_THROW((void)p.program_with_ddv(10, ddv, rng), std::invalid_argument);
 }
 
 TEST(Programmer, StuckAtHrsPullsReadbackDown) {
